@@ -98,9 +98,12 @@ let make_ops t =
   (* Fill the victim way for [addr]: quarantine a dirty victim in the
      rename buffer (a full buffer forces an epoch commit first —
      structural hazard → backup), then fetch the newest line image from
-     the rename buffer or NVM.  Returns the way and the fill cost,
-     grouped (evict ++ fetch) ++ hit like the legacy Cost chain. *)
-  let fill addr =
+     the rename buffer or NVM.  Charges the fill cost, grouped
+     (evict ++ fetch) ++ hit like the legacy Cost chain, plus the
+     caller's [extra_ns]/[extra_joules], and returns the way.  Acc.charge
+     by hand: the call is not inlined, so the computed float arguments
+     would be boxed. *)
+  let fill addr ~extra_ns ~extra_joules =
     let cache = t.cache in
     let vi = Cache.victim cache addr in
     let evict_ns, evict_joules =
@@ -136,8 +139,14 @@ let make_ops t =
         (lookup_ns +. nvm_read_ns, e_lookup +. e_nvm_read)
       end
     in
-    (vi, evict_ns +. fetch_ns +. hit_ns, evict_joules +. fetch_joules +. e_hit)
+    let a = t.acc in
+    a.Acc.ns <- a.Acc.ns +. (evict_ns +. fetch_ns +. hit_ns +. extra_ns);
+    a.Acc.joules <-
+      a.Acc.joules +. (evict_joules +. fetch_joules +. e_hit +. extra_joules);
+    vi
   in
+  let store_hit_ns = hit_ns +. rename_check_ns
+  and e_store_hit = e_hit +. e_rename_check in
   Exec.nop_region_ops
     {
       Exec.load =
@@ -151,8 +160,7 @@ let make_ops t =
           end
           else begin
             Cache.record_miss t.cache;
-            let vi, ns, joules = fill addr in
-            Acc.charge t.acc ~ns ~joules;
+            let vi = fill addr ~extra_ns:0.0 ~extra_joules:0.0 in
             Cache.read_word t.cache vi addr
           end);
       store =
@@ -163,16 +171,15 @@ let make_ops t =
             Cache.touch t.cache li;
             Cache.write_word t.cache li addr value;
             Cache.set_dirty t.cache li ~region:(-1);
-            Acc.charge t.acc ~ns:(hit_ns +. rename_check_ns)
-              ~joules:(e_hit +. e_rename_check)
+            Acc.charge t.acc ~ns:store_hit_ns ~joules:e_store_hit
           end
           else begin
             Cache.record_miss t.cache;
-            let vi, ns, joules = fill addr in
+            let vi =
+              fill addr ~extra_ns:rename_check_ns ~extra_joules:e_rename_check
+            in
             Cache.write_word t.cache vi addr value;
-            Cache.set_dirty t.cache vi ~region:(-1);
-            Acc.charge t.acc ~ns:(ns +. rename_check_ns)
-              ~joules:(joules +. e_rename_check)
+            Cache.set_dirty t.cache vi ~region:(-1)
           end);
       clwb = (fun _ -> ());
       fence = (fun () -> ());

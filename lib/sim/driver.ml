@@ -13,8 +13,8 @@ module Nvm = Sweep_mem.Nvm
 module Cache = Sweep_mem.Cache
 module Cpu = Sweep_machine.Cpu
 
-(* Per-PC attribution rides both cycle loops branchlessly: the loops
-   always index the counter arrays with [pc land at.mask] (-1 armed, 0
+(* Per-PC attribution rides the cycle loop branchlessly: the loop
+   always indexes the counter arrays with [pc land at.mask] (-1 armed, 0
    disabled — see {!Sweep_obs.Attrib}), so a run without a profiler
    pays a handful of dead stores into a one-slot buffer instead of a
    branch.  A disabled sink still tracks the since-last-commit
@@ -63,10 +63,9 @@ exception Stagnation of string
 let ns_to_s ns = ns *. 1.0e-9
 
 (* ------------------------------------------------------------------ *)
-(* Fault-trigger bookkeeping shared by both power modes.  [watch]
-   attaches a Sink spy for event triggers (sequential runs only) and
-   returns a detach closure; [should_fire] is checked once per
-   completed instruction. *)
+(* Fault-trigger bookkeeping.  [watch_fault] attaches a Sink spy for
+   event triggers (sequential runs only) and keeps its detach closure;
+   [fault_to_fire] is checked once per completed instruction. *)
 
 type fault_watch = {
   fault : Fault.t option;
@@ -109,166 +108,10 @@ let fault_to_fire w ~instructions =
 
 (* All-float mutable totals: mutating a float field of a flat float
    record writes in place, so the cycle loop allocates nothing.  (Float
-   refs or a mixed record would box a fresh float per store.) *)
-type utotals = {
-  mutable u_now : float;
-  mutable u_joules : float;
-  mutable u_restore_joules : float;
-}
-
-let run_unlimited ?(max_instructions = 500_000_000) ?sim_budget_ns ?fault
-    ?after_recovery ?heartbeat ?attrib m =
-  let tt = { u_now = 0.0; u_joules = 0.0; u_restore_joules = 0.0 } in
-  let acc = M.acc m in
-  let at = match attrib with Some a -> a | None -> Attrib.disabled () in
-  let cpu = M.cpu m in
-  let nvm = M.nvm m in
-  let mst = M.mstats m in
-  let acache = match M.cache m with Some c -> c | None -> dummy_cache () in
-  let instructions = ref 0 in
-  let outages = ref 0 in
-  let injected = ref 0 in
-  let budget =
-    match sim_budget_ns with Some b -> b | None -> Float.infinity
-  in
-  let hb = match heartbeat with Some h -> h | None -> Hb.disabled () in
-  let w = watch_fault fault in
-  Fun.protect ~finally:(fun () -> unwatch_fault w) @@ fun () ->
-  (* One injected crash under unlimited power: no capacitor, so the
-     off period is instantaneous — the machine's power-failure and
-     recovery paths run, execution resumes at the recovered PC. *)
-  let crash ~trigger ~detail =
-    incr injected;
-    incr outages;
-    let pc0 = cpu.Cpu.pc in
-    let w0 = Nvm.write_events nvm in
-    let mi0 = Cache.misses acache in
-    (* A JIT design never dies without its banked backup (the backup
-       threshold sits above Vmin), so an adversarial crash still finds
-       a fresh checkpoint: commit one at the crash point. *)
-    if M.jit_backup_cost m <> None then begin
-      M.commit_jit_backup m ~now_ns:tt.u_now;
-      Attrib.note_commit at
-    end;
-    if Sink.on () then begin
-      Sink.emit ~ns:tt.u_now (Ev.Fault_inject { trigger; detail });
-      Sink.emit ~ns:tt.u_now (Ev.Power_down { volts = 0.0 })
-    end;
-    M.on_power_failure m ~now_ns:tt.u_now;
-    let discarded = Attrib.note_crash at ~pc:pc0 in
-    if Sink.on () then begin
-      Sink.emit ~ns:tt.u_now (Ev.Reexec { discarded });
-      Sink.emit ~ns:tt.u_now (Ev.Reboot { outage = !outages })
-    end;
-    let c = M.on_reboot m ~now_ns:tt.u_now in
-    tt.u_now <- tt.u_now +. c.Cost.ns;
-    tt.u_restore_joules <- tt.u_restore_joules +. c.Cost.joules;
-    Attrib.note_cold at ~pc:pc0
-      ~nvm_writes:(Nvm.write_events nvm - w0)
-      ~cache_misses:(Cache.misses acache - mi0)
-      ~ns:c.Cost.ns ~restore_joules:c.Cost.joules ();
-    if Sink.on () then
-      Sink.emit ~ns:tt.u_now (Ev.Restore { joules = c.Cost.joules });
-    match after_recovery with Some f -> f ~now_ns:tt.u_now | None -> ()
-  in
-  while
-    (not (M.halted m)) && !instructions < max_instructions
-    && tt.u_now <= budget
-  do
-    (* Attribution pre-reads: the PC about to execute and the
-       monotonic machine counters whose per-step deltas get charged to
-       it.  All int reads except the stall total, which stays unboxed
-       in a register (cmmgen unboxes float lets whose uses are float
-       ops — same discipline as the loop totals below). *)
-    let pc = cpu.Cpu.pc in
-    let w0 = Nvm.write_events nvm in
-    let mi0 = Cache.misses acache in
-    let st0 = mst.Mstats.f.Mstats.wait_ns +. mst.Mstats.f.Mstats.waw_stall_ns in
-    let rg0 = mst.Mstats.regions in
-    acc.Exec.Acc.now <- tt.u_now;
-    M.step m;
-    tt.u_now <- tt.u_now +. acc.Exec.Acc.ns;
-    tt.u_joules <- tt.u_joules +. acc.Exec.Acc.joules;
-    incr instructions;
-    (* Unconditional attribution stores ([i] = 0 when disabled): int
-       adds, unboxed float adds, and the epoch/stamp/delta re-execution
-       bookkeeping.  The epoch bump uses the step's region-count delta,
-       so a retiring region boundary commits its own instruction. *)
-    let i = pc land at.Attrib.mask in
-    Array.unsafe_set at.Attrib.count i (Array.unsafe_get at.Attrib.count i + 1);
-    Array.unsafe_set at.Attrib.ns i
-      (Array.unsafe_get at.Attrib.ns i +. acc.Exec.Acc.ns);
-    Array.unsafe_set at.Attrib.joules i
-      (Array.unsafe_get at.Attrib.joules i +. acc.Exec.Acc.joules);
-    Array.unsafe_set at.Attrib.nvm_writes i
-      (Array.unsafe_get at.Attrib.nvm_writes i + (Nvm.write_events nvm - w0));
-    Array.unsafe_set at.Attrib.cache_misses i
-      (Array.unsafe_get at.Attrib.cache_misses i + (Cache.misses acache - mi0));
-    Array.unsafe_set at.Attrib.stall_ns i
-      (Array.unsafe_get at.Attrib.stall_ns i
-      +. (mst.Mstats.f.Mstats.wait_ns +. mst.Mstats.f.Mstats.waw_stall_ns -. st0
-         ));
-    if Array.unsafe_get at.Attrib.stamp i = at.Attrib.epoch then
-      Array.unsafe_set at.Attrib.delta i (Array.unsafe_get at.Attrib.delta i + 1)
-    else begin
-      Array.unsafe_set at.Attrib.stamp i at.Attrib.epoch;
-      Array.unsafe_set at.Attrib.delta i 1
-    end;
-    at.Attrib.epoch <- at.Attrib.epoch + (mst.Mstats.regions - rg0);
-    (* Amortized liveness beat: two machine ops per instruction, the
-       rest on the cold [fire] path every [hb.every] instructions. *)
-    hb.Hb.countdown <- hb.Hb.countdown - 1;
-    if hb.Hb.countdown <= 0 then
-      Hb.fire hb ~sim_ns:tt.u_now ~instructions:!instructions
-        ~reboots:!outages ~nvm_writes:(Nvm.write_events nvm);
-    match fault_to_fire w ~instructions:!instructions with
-    | Some f ->
-      w.fired <- true;
-      crash ~trigger:(Fault.trigger_kind f.Fault.trigger)
-        ~detail:(Fault.describe f);
-      for _ = 1 to f.Fault.nested do
-        crash ~trigger:"nested" ~detail:(Fault.describe f)
-      done
-    | None -> ()
-  done;
-  let completed = M.halted m in
-  (* Running out of the simulated-time budget is a graceful partial
-     stop (the early-stop path); only the instruction guard is an
-     error.  A partial machine is left undrained. *)
-  if (not completed) && tt.u_now <= budget then
-    raise (Stagnation "instruction guard exceeded without Halt");
-  if completed then begin
-    let pc0 = cpu.Cpu.pc in
-    let w0 = Nvm.write_events nvm in
-    let d = M.drain m ~now_ns:tt.u_now in
-    tt.u_now <- tt.u_now +. d.Cost.ns;
-    tt.u_joules <- tt.u_joules +. d.Cost.joules;
-    Attrib.note_cold at ~pc:pc0
-      ~nvm_writes:(Nvm.write_events nvm - w0)
-      ~ns:d.Cost.ns ~joules:d.Cost.joules ()
-  end;
-  {
-    completed;
-    on_ns = tt.u_now;
-    off_ns = 0.0;
-    outages = !outages;
-    deaths = 0;
-    backups = 0;
-    failed_backups = 0;
-    compute_joules = tt.u_joules;
-    backup_joules = 0.0;
-    restore_joules = tt.u_restore_joules;
-    quiescent_joules = 0.0;
-    instructions = !instructions;
-    injected_faults = !injected;
-  }
-
-(* ------------------------------------------------------------------ *)
-
-(* Same flat-float-record discipline as {!utotals}: every float the
-   harvested loop mutates per instruction lives here, nested inside the
-   mixed {!harv_state}. *)
-type harv_totals = {
+   refs or a mixed record would box a fresh float per store.)  Every
+   float the loop mutates per instruction lives here, nested inside the
+   mixed {!state}. *)
+type totals = {
   mutable now : float; (* ns *)
   mutable on_ns : float;
   mutable off_ns : float;
@@ -291,14 +134,21 @@ type harv_totals = {
          bound just forces a recompute. *)
 }
 
-type harv_state = {
+(* A harvested run's energy source.  Unlimited power is a run without
+   one: it skips the voltage state machine and the capacitor and trace
+   arithmetic, and its outages recover instantly. *)
+type supply = { trace : Trace.t; cap : Capacitor.t }
+
+type state = {
   m : M.packed;
-  trace : Trace.t;
-  cap : Capacitor.t;
+  supply : supply option;
   det : Detector.t;
   p_quiescent : float;
   at : Attrib.t;
-  f : harv_totals;
+  after_recovery : (now_ns:float -> unit) option;
+      (* the differential checker's hook: observes the machine right
+         after every recovery *)
+  f : totals;
   mutable outages : int;
   mutable deaths : int;
   mutable backups : int;
@@ -308,46 +158,52 @@ type harv_state = {
   mutable injected_faults : int;
 }
 
+(* Longest a dead device may charge before the run stagnates. *)
+let max_off_s = 120.0
+
 (* Advance wall time by [ns] while powered on: harvest plus quiescent
    detector draw. *)
 let pass_time_on s ns =
   if ns > 0.0 then begin
-    let dt = ns_to_s ns in
-    let pq = s.p_quiescent *. dt in
-    Capacitor.consume s.cap pq;
-    s.f.quiescent_joules <- s.f.quiescent_joules +. pq;
-    Capacitor.harvest s.cap
-      ~power_w:(Trace.power s.trace (ns_to_s s.f.now))
-      ~dt_s:dt;
+    (match s.supply with
+    | Some sp ->
+      let dt = ns_to_s ns in
+      let pq = s.p_quiescent *. dt in
+      Capacitor.consume sp.cap pq;
+      s.f.quiescent_joules <- s.f.quiescent_joules +. pq;
+      Capacitor.harvest sp.cap
+        ~power_w:(Trace.power sp.trace (ns_to_s s.f.now))
+        ~dt_s:dt
+    | None -> ());
     s.f.now <- s.f.now +. ns;
     s.f.on_ns <- s.f.on_ns +. ns
   end
 
 (* Dead/charging: integrate the trace at its own resolution until the
    voltage reaches [target]. *)
-let charge_until s target ~max_off_s =
+let charge_until s sp target =
   let dt = 1.0e-4 in
   let waited = ref 0.0 in
   let steps = ref 0 in
-  while (not (Capacitor.above s.cap target)) && !waited < max_off_s do
+  while (not (Capacitor.above sp.cap target)) && !waited < max_off_s do
     (* Sample the recharge ramp sparsely for the voltage counter track. *)
     if Sink.on () && !steps mod 100 = 0 then
-      Sink.emit ~ns:s.f.now (Ev.Voltage { volts = Capacitor.voltage s.cap });
+      Sink.emit ~ns:s.f.now (Ev.Voltage { volts = Capacitor.voltage sp.cap });
     incr steps;
     (* Apply the net power over the step: harvesting and the detector
        draw are simultaneous, so clamping at Vmax must see the
        difference, not harvest-then-consume (which would cap a small
        capacitor's steady state a whole quiescent-step below Vmax). *)
-    let p = Trace.power s.trace (ns_to_s s.f.now) in
+    let p = Trace.power sp.trace (ns_to_s s.f.now) in
     let net = p -. s.p_quiescent in
-    if net >= 0.0 then Capacitor.harvest s.cap ~power_w:net ~dt_s:dt
-    else Capacitor.consume s.cap (-.net *. dt);
+    if net >= 0.0 then Capacitor.harvest sp.cap ~power_w:net ~dt_s:dt
+    else Capacitor.consume sp.cap (-.net *. dt);
     s.f.quiescent_joules <- s.f.quiescent_joules +. (s.p_quiescent *. dt);
     s.f.now <- s.f.now +. (dt *. 1.0e9);
     s.f.off_ns <- s.f.off_ns +. (dt *. 1.0e9);
     waited := !waited +. dt
   done;
-  if not (Capacitor.above s.cap target) then
+  if not (Capacitor.above sp.cap target) then
     raise
       (Stagnation
          (Printf.sprintf
@@ -355,13 +211,13 @@ let charge_until s target ~max_off_s =
             target (s.p_quiescent *. 1.0e6)))
 
 (* Propagation delay: time passes with quiescent draw only. *)
-let propagation_delay s ns state =
+let propagation_delay s sp ns state =
   let dt = ns_to_s ns in
   let pq = s.p_quiescent *. dt in
-  Capacitor.consume s.cap pq;
+  Capacitor.consume sp.cap pq;
   s.f.quiescent_joules <- s.f.quiescent_joules +. pq;
-  Capacitor.harvest s.cap
-    ~power_w:(Trace.power s.trace (ns_to_s s.f.now))
+  Capacitor.harvest sp.cap
+    ~power_w:(Trace.power sp.trace (ns_to_s s.f.now))
     ~dt_s:dt;
   s.f.now <- s.f.now +. ns;
   match state with
@@ -369,62 +225,89 @@ let propagation_delay s ns state =
   | `Off -> s.f.off_ns <- s.f.off_ns +. ns
 
 (* Power-down / charge / reboot sequence shared by JIT stops, hard
-   deaths and injected faults.  [after_recovery] (the differential
-   checker's hook) observes the machine right after every recovery. *)
-let power_cycle ?after_recovery s ~max_off_s =
+   deaths and injected faults.  Without a supply the off period is
+   instantaneous: no charging, no propagation delay, 0 V reported at
+   power-down, and the restore stamped where it ends. *)
+let power_cycle s =
   s.outages <- s.outages + 1;
   let pc0 = (M.cpu s.m).Cpu.pc in
   let w0 = Nvm.write_events (M.nvm s.m) in
   let mi0 = match M.cache s.m with Some c -> Cache.misses c | None -> 0 in
-  if Sink.on () then
-    Sink.emit ~ns:s.f.now (Ev.Power_down { volts = Capacitor.voltage s.cap });
+  if Sink.on () then begin
+    let volts =
+      match s.supply with Some sp -> Capacitor.voltage sp.cap | None -> 0.0
+    in
+    Sink.emit ~ns:s.f.now (Ev.Power_down { volts })
+  end;
   M.on_power_failure s.m ~now_ns:s.f.now;
   let discarded = Attrib.note_crash s.at ~pc:pc0 in
   if Sink.on () then Sink.emit ~ns:s.f.now (Ev.Reexec { discarded });
-  charge_until s s.det.Detector.v_restore ~max_off_s;
-  propagation_delay s s.det.Detector.t_plh_ns `Off;
+  (match s.supply with
+  | Some sp ->
+    charge_until s sp s.det.Detector.v_restore;
+    propagation_delay s sp s.det.Detector.t_plh_ns `Off
+  | None -> ());
   if Sink.on () then begin
     Sink.emit ~ns:s.f.now (Ev.Reboot { outage = s.outages });
-    Sink.emit ~ns:s.f.now (Ev.Voltage { volts = Capacitor.voltage s.cap })
+    match s.supply with
+    | Some sp ->
+      Sink.emit ~ns:s.f.now (Ev.Voltage { volts = Capacitor.voltage sp.cap })
+    | None -> ()
   end;
   let c = M.on_reboot s.m ~now_ns:s.f.now in
-  Capacitor.consume s.cap c.Cost.joules;
+  (match s.supply with
+  | Some sp -> Capacitor.consume sp.cap c.Cost.joules
+  | None -> ());
   s.f.restore_joules <- s.f.restore_joules +. c.Cost.joules;
   let mi1 = match M.cache s.m with Some c -> Cache.misses c | None -> 0 in
   Attrib.note_cold s.at ~pc:pc0
     ~nvm_writes:(Nvm.write_events (M.nvm s.m) - w0)
     ~cache_misses:(mi1 - mi0) ~ns:c.Cost.ns ~restore_joules:c.Cost.joules ();
-  if Sink.on () then
-    Sink.emit ~ns:s.f.now (Ev.Restore { joules = c.Cost.joules });
+  if Sink.on () then begin
+    let ns =
+      match s.supply with Some _ -> s.f.now | None -> s.f.now +. c.Cost.ns
+    in
+    Sink.emit ~ns (Ev.Restore { joules = c.Cost.joules })
+  end;
   pass_time_on s c.Cost.ns;
   s.backup_armed <- true;
-  match after_recovery with Some f -> f ~now_ns:s.f.now | None -> ()
+  match s.after_recovery with Some f -> f ~now_ns:s.f.now | None -> ()
 
-let try_backup s v_min =
+(* Commit a JIT backup at the current PC.  With a supply, the capacitor
+   pays [cost]'s joules and [ns] passes ([cost]'s time, or 0 when an
+   injected outage swallows it); without one the commit is free and
+   uncounted, and only its NVM writes are charged to the PC. *)
+let commit_backup s cost ~ns =
+  let pc0 = (M.cpu s.m).Cpu.pc in
+  let w0 = Nvm.write_events (M.nvm s.m) in
+  M.commit_jit_backup s.m ~now_ns:s.f.now;
+  Attrib.note_commit s.at;
+  let nvm_writes = Nvm.write_events (M.nvm s.m) - w0 in
+  match s.supply with
+  | None -> Attrib.note_cold s.at ~pc:pc0 ~nvm_writes ()
+  | Some sp ->
+    Attrib.note_cold s.at ~pc:pc0 ~nvm_writes ~ns
+      ~backup_joules:cost.Cost.joules ();
+    Capacitor.consume sp.cap cost.Cost.joules;
+    s.f.backup_joules <- s.f.backup_joules +. cost.Cost.joules;
+    let mst = M.mstats s.m in
+    mst.Mstats.backup_events <- mst.Mstats.backup_events + 1;
+    mst.Mstats.f.Mstats.backup_joules <-
+      mst.Mstats.f.Mstats.backup_joules +. cost.Cost.joules;
+    pass_time_on s ns;
+    s.backups <- s.backups + 1;
+    if Sink.on () then
+      Sink.emit ~ns:s.f.now (Ev.Backup { ok = true; joules = cost.Cost.joules })
+
+let try_backup s sp =
   (* Detection propagation delay passes first (§2.2). *)
-  propagation_delay s s.det.Detector.t_phl_ns `On;
+  propagation_delay s sp s.det.Detector.t_phl_ns `On;
   match M.jit_backup_cost s.m with
   | None -> assert false
   | Some cost ->
-    let available = Capacitor.usable_above s.cap v_min in
+    let available = Capacitor.usable_above sp.cap (Capacitor.v_min sp.cap) in
     if cost.Cost.joules <= available then begin
-      let pc0 = (M.cpu s.m).Cpu.pc in
-      let w0 = Nvm.write_events (M.nvm s.m) in
-      M.commit_jit_backup s.m ~now_ns:s.f.now;
-      Attrib.note_commit s.at;
-      Attrib.note_cold s.at ~pc:pc0
-        ~nvm_writes:(Nvm.write_events (M.nvm s.m) - w0)
-        ~ns:cost.Cost.ns ~backup_joules:cost.Cost.joules ();
-      Capacitor.consume s.cap cost.Cost.joules;
-      s.f.backup_joules <- s.f.backup_joules +. cost.Cost.joules;
-      (M.mstats s.m).Mstats.backup_events <-
-        (M.mstats s.m).Mstats.backup_events + 1;
-      (M.mstats s.m).Mstats.f.Mstats.backup_joules <-
-        (M.mstats s.m).Mstats.f.Mstats.backup_joules +. cost.Cost.joules;
-      pass_time_on s cost.Cost.ns;
-      s.backups <- s.backups + 1;
-      if Sink.on () then
-        Sink.emit ~ns:s.f.now (Ev.Backup { ok = true; joules = cost.Cost.joules });
+      commit_backup s cost ~ns:cost.Cost.ns;
       true
     end
     else begin
@@ -434,18 +317,58 @@ let try_backup s v_min =
       false
     end
 
-let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
-    ?sim_budget_ns ?fault ?after_recovery ?heartbeat ?attrib m ~trace ~farads
-    ~v_max ~v_min =
+(* An injected crash behaves like a death at the crash point, except a
+   JIT design first banks the backup its detector would have banked
+   (the backup threshold sits above Vmin, so a crash with no fresh
+   checkpoint is physically impossible under the detector model).  A
+   harvested run charges the backup's joules but not its ns: the outage
+   swallows it. *)
+let inject s f ~trigger =
+  s.injected_faults <- s.injected_faults + 1;
+  (match M.jit_backup_cost s.m with
+  | Some cost -> commit_backup s cost ~ns:0.0
+  | None -> ());
+  if Sink.on () then
+    Sink.emit ~ns:s.f.now
+      (Ev.Fault_inject { trigger; detail = Fault.describe f });
+  power_cycle s
+
+module Metrics = Sweep_obs.Metrics
+
+(* Accumulate a finished run's outcome into the global metrics registry. *)
+let publish_outcome (o : outcome) =
+  if Metrics.enabled () then begin
+    let c name v = Metrics.add (Metrics.counter name) v in
+    c "driver.runs" 1;
+    c "driver.outages" o.outages;
+    c "driver.deaths" o.deaths;
+    c "driver.backups" o.backups;
+    c "driver.failed_backups" o.failed_backups;
+    c "driver.instructions" o.instructions;
+    Metrics.observe
+      (Metrics.histogram "driver.on_fraction_pct"
+         ~buckets:[| 10.0; 25.0; 50.0; 75.0; 90.0; 95.0; 99.0; 100.0 |])
+      (if total_ns o <= 0.0 then 100.0 else o.on_ns /. total_ns o *. 100.0)
+  end
+
+let run ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0) ?sim_budget_ns
+    ?fault ?after_recovery ?heartbeat ?attrib m ~power =
   let det = M.detector m in
+  let supply =
+    match power with
+    | Unlimited -> None
+    | Harvested { trace; capacitor_farads; v_max; v_min } ->
+      Some
+        { trace; cap = Capacitor.create ~farads:capacitor_farads ~v_max ~v_min }
+  in
   let s =
     {
       m;
-      trace;
-      cap = Capacitor.create ~farads ~v_max ~v_min;
+      supply;
       det;
       p_quiescent = Detector.quiescent_power_w det;
       at = (match attrib with Some a -> a | None -> Attrib.disabled ());
+      after_recovery;
       f =
         {
           now = 0.0;
@@ -473,7 +396,6 @@ let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
   let nvm = M.nvm m in
   let mst = M.mstats m in
   let acache = match M.cache m with Some c -> c | None -> dummy_cache () in
-  let max_off_s = 120.0 in
   let has_jit = M.jit_backup_cost m <> None in
   (* Hot-loop flattening: the per-instruction block below does all its
      capacitor/trace arithmetic by direct field access on the flat
@@ -485,229 +407,202 @@ let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
      hoisted as energies ([above t v] ⇔ [energy >= ½Cv² - 1e-18]); a
      missing backup threshold becomes -∞ so the comparison is always
      false, matching the [None -> false] arm it replaces.  Cold paths
-     (outages, charging, backup) keep the readable module calls. *)
-  let cap = s.cap in
-  let tr_samples = Trace.samples trace and tr_dt = Trace.sample_dt trace in
+     (outages, charging, backup) keep the readable module calls.  Under
+     unlimited power none of this is read. *)
+  let th_restore, th_vmin, th_backup, tr_samples, tr_dt =
+    match supply with
+    | None -> (0.0, 0.0, 0.0, [||], 0.0)
+    | Some { cap; trace } ->
+      let th v = Capacitor.energy_at cap v -. 1e-18 in
+      ( th det.Detector.v_restore,
+        th (Capacitor.v_min cap),
+        (match det.Detector.v_backup with
+        | Some vb -> th vb
+        | None -> Float.neg_infinity),
+        Trace.samples trace,
+        Trace.sample_dt trace )
+  in
   let tr_n = Array.length tr_samples in
   let p_quiescent = s.p_quiescent in
-  let th_restore = Capacitor.energy_at cap det.Detector.v_restore -. 1e-18 in
-  let th_vmin = Capacitor.energy_at cap v_min -. 1e-18 in
-  let th_backup =
-    match det.Detector.v_backup with
-    | Some vb -> Capacitor.energy_at cap vb -. 1e-18
-    | None -> Float.neg_infinity
-  in
   let budget =
     match sim_budget_ns with Some b -> b | None -> Float.infinity
   in
   let hb = match heartbeat with Some h -> h | None -> Hb.disabled () in
   let w = watch_fault fault in
-  (* An injected crash behaves like a death at the crash point, except a
-     JIT design first banks the backup its detector would have banked
-     (the backup threshold sits above Vmin, so a crash with no fresh
-     checkpoint is physically impossible under the detector model). *)
-  let inject s f ~trigger =
-    s.injected_faults <- s.injected_faults + 1;
-    if has_jit then begin
-      match M.jit_backup_cost m with
-      | Some cost ->
-        let pc0 = (M.cpu m).Cpu.pc in
-        let w0 = Nvm.write_events (M.nvm m) in
-        M.commit_jit_backup m ~now_ns:s.f.now;
-        Attrib.note_commit s.at;
-        (* The inject path charges the backup's joules but not its ns
-           (the outage swallows it); attribution mirrors that. *)
-        Attrib.note_cold s.at ~pc:pc0
-          ~nvm_writes:(Nvm.write_events (M.nvm m) - w0)
-          ~backup_joules:cost.Cost.joules ();
-        Capacitor.consume s.cap cost.Cost.joules;
-        s.f.backup_joules <- s.f.backup_joules +. cost.Cost.joules;
-        (M.mstats m).Mstats.backup_events <-
-          (M.mstats m).Mstats.backup_events + 1;
-        (M.mstats m).Mstats.f.Mstats.backup_joules <-
-          (M.mstats m).Mstats.f.Mstats.backup_joules +. cost.Cost.joules;
-        s.backups <- s.backups + 1;
-        if Sink.on () then
-          Sink.emit ~ns:s.f.now
-            (Ev.Backup { ok = true; joules = cost.Cost.joules })
-      | None -> ()
-    end;
-    if Sink.on () then
-      Sink.emit ~ns:s.f.now
-        (Ev.Fault_inject { trigger; detail = Fault.describe f });
-    power_cycle ?after_recovery s ~max_off_s
-  in
-  Fun.protect ~finally:(fun () -> unwatch_fault w) @@ fun () ->
-  while (not (M.halted m)) && s.f.now <= budget do
-    if s.instructions > max_instructions then
-      raise (Stagnation "instruction guard exceeded");
-    if s.f.now *. 1.0e-9 > max_sim_s then
-      raise (Stagnation "simulated-time guard exceeded");
-    (* Re-arm the backup trigger once the voltage has recovered. *)
-    if (not s.backup_armed) && cap.Capacitor.energy >= th_restore then
-      s.backup_armed <- true;
-    if has_jit && s.backup_armed && cap.Capacitor.energy < th_backup then begin
-      s.backup_armed <- false;
-      let ok = try_backup s v_min in
-      if M.continues_after_backup m && ok then
-        (* NvMR: keep running on the remaining charge. *)
-        ()
-      else
-        (* Backup (or its failure) is followed by power-down. *)
-        power_cycle ?after_recovery s ~max_off_s
-    end
-    else if cap.Capacitor.energy < th_vmin then begin
-      (* Hard death: volatile state is lost. *)
-      s.deaths <- s.deaths + 1;
-      if Sink.on () then
-        Sink.emit ~ns:s.f.now (Ev.Death { volts = Capacitor.voltage s.cap });
-      power_cycle ?after_recovery s ~max_off_s
-    end
-    else begin
-      (* Attribution pre-reads (see run_unlimited). *)
-      let pc = cpu.Cpu.pc in
-      let w0 = Nvm.write_events nvm in
-      let mi0 = Cache.misses acache in
-      let st0 =
-        mst.Mstats.f.Mstats.wait_ns +. mst.Mstats.f.Mstats.waw_stall_ns
-      in
-      let rg0 = mst.Mstats.regions in
-      acc.Exec.Acc.now <- s.f.now;
-      M.step m;
-      let step_ns = acc.Exec.Acc.ns and step_joules = acc.Exec.Acc.joules in
-      let i = pc land at.Attrib.mask in
-      Array.unsafe_set at.Attrib.count i
-        (Array.unsafe_get at.Attrib.count i + 1);
-      Array.unsafe_set at.Attrib.ns i
-        (Array.unsafe_get at.Attrib.ns i +. step_ns);
-      Array.unsafe_set at.Attrib.joules i
-        (Array.unsafe_get at.Attrib.joules i +. step_joules);
-      Array.unsafe_set at.Attrib.nvm_writes i
-        (Array.unsafe_get at.Attrib.nvm_writes i + (Nvm.write_events nvm - w0));
-      Array.unsafe_set at.Attrib.cache_misses i
-        (Array.unsafe_get at.Attrib.cache_misses i
-        + (Cache.misses acache - mi0));
-      Array.unsafe_set at.Attrib.stall_ns i
-        (Array.unsafe_get at.Attrib.stall_ns i
-        +. (mst.Mstats.f.Mstats.wait_ns
-           +. mst.Mstats.f.Mstats.waw_stall_ns -. st0));
-      if Array.unsafe_get at.Attrib.stamp i = at.Attrib.epoch then
-        Array.unsafe_set at.Attrib.delta i
-          (Array.unsafe_get at.Attrib.delta i + 1)
-      else begin
-        Array.unsafe_set at.Attrib.stamp i at.Attrib.epoch;
-        Array.unsafe_set at.Attrib.delta i 1
-      end;
-      at.Attrib.epoch <- at.Attrib.epoch + (mst.Mstats.regions - rg0);
-      (* Capacitor.consume, inlined. *)
-      let e = cap.Capacitor.energy -. step_joules in
-      cap.Capacitor.energy <- (if e > 0.0 then e else 0.0);
-      s.f.compute_joules <- s.f.compute_joules +. step_joules;
-      (* pass_time_on, inlined: quiescent draw, then harvest at the
-         pre-advance timestamp (same order as the function). *)
-      if step_ns > 0.0 then begin
-        let dt = step_ns *. 1.0e-9 in
-        let pq = p_quiescent *. dt in
-        let e = cap.Capacitor.energy -. pq in
-        cap.Capacitor.energy <- (if e > 0.0 then e else 0.0);
-        s.f.quiescent_joules <- s.f.quiescent_joules +. pq;
-        (* Trace sample, from the cache while [now] stays inside the
-           current 100 µs hold interval.  On a recompute: [now] never
-           goes backwards from 0, so [idx] is non-negative and one [mod]
-           reproduces [Trace.power]'s wraparound; the refreshed edge is
-           shrunk by a relative 1e-6 (≫ any rounding error, ≪ the
-           interval) so it can never land past the true boundary. *)
-        if s.f.now >= s.f.trace_edge then begin
-          let idx = int_of_float (s.f.now *. 1.0e-9 /. tr_dt) in
-          s.f.trace_p <- Array.unsafe_get tr_samples (idx mod tr_n);
-          s.f.trace_edge <-
-            float_of_int (idx + 1) *. tr_dt *. 1.0e9 *. 0.999999
-        end;
-        let p = s.f.trace_p in
-        let e = cap.Capacitor.energy +. (p *. dt) in
-        cap.Capacitor.energy <-
-          (if e < cap.Capacitor.e_max then e else cap.Capacitor.e_max);
-        s.f.now <- s.f.now +. step_ns;
-        s.f.on_ns <- s.f.on_ns +. step_ns
-      end;
-      s.instructions <- s.instructions + 1;
-      (* Amortized liveness beat (compare + subtract per instruction;
-         everything else is on the cold fire path). *)
-      hb.Hb.countdown <- hb.Hb.countdown - 1;
-      if hb.Hb.countdown <= 0 then
-        Hb.fire hb ~sim_ns:s.f.now ~instructions:s.instructions
-          ~reboots:s.outages ~nvm_writes:(Nvm.write_events nvm);
-      (* Sparse voltage samples while executing keep the counter track
-         legible without swamping the trace. *)
-      if Sink.on () && s.instructions mod 5_000 = 0 then
-        Sink.emit ~ns:s.f.now (Ev.Voltage { volts = Capacitor.voltage s.cap });
-      match fault_to_fire w ~instructions:s.instructions with
-      | Some f ->
-        w.fired <- true;
-        inject s f ~trigger:(Fault.trigger_kind f.Fault.trigger);
-        for _ = 1 to f.Fault.nested do inject s f ~trigger:"nested" done
-      | None -> ()
-    end
-  done;
-  let completed = M.halted m in
-  (* A budget stop leaves the machine undrained: the outcome reports
-     partial progress with [completed = false]. *)
-  if completed then begin
-    let pc0 = cpu.Cpu.pc in
-    let w0 = Nvm.write_events nvm in
-    let d = M.drain m ~now_ns:s.f.now in
-    Capacitor.consume s.cap d.Cost.joules;
-    s.f.compute_joules <- s.f.compute_joules +. d.Cost.joules;
-    Attrib.note_cold at ~pc:pc0
-      ~nvm_writes:(Nvm.write_events nvm - w0)
-      ~ns:d.Cost.ns ~joules:d.Cost.joules ();
-    pass_time_on s d.Cost.ns
-  end;
-  {
-    completed;
-    on_ns = s.f.on_ns;
-    off_ns = s.f.off_ns;
-    outages = s.outages;
-    deaths = s.deaths;
-    backups = s.backups;
-    failed_backups = s.failed_backups;
-    compute_joules = s.f.compute_joules;
-    backup_joules = s.f.backup_joules;
-    restore_joules = s.f.restore_joules;
-    quiescent_joules = s.f.quiescent_joules;
-    instructions = s.instructions;
-    injected_faults = s.injected_faults;
-  }
-
-module Metrics = Sweep_obs.Metrics
-
-(* Accumulate a finished run's outcome into the global metrics registry. *)
-let publish_outcome ?(labels = []) (o : outcome) =
-  if Metrics.enabled () then begin
-    let c name v = Metrics.add (Metrics.counter ~labels name) v in
-    c "driver.runs" 1;
-    c "driver.outages" o.outages;
-    c "driver.deaths" o.deaths;
-    c "driver.backups" o.backups;
-    c "driver.failed_backups" o.failed_backups;
-    c "driver.instructions" o.instructions;
-    Metrics.observe
-      (Metrics.histogram ~labels "driver.on_fraction_pct"
-         ~buckets:[| 10.0; 25.0; 50.0; 75.0; 90.0; 95.0; 99.0; 100.0 |])
-      (if total_ns o <= 0.0 then 100.0 else o.on_ns /. total_ns o *. 100.0)
-  end
-
-let run ?max_instructions ?max_sim_s ?sim_budget_ns ?fault ?after_recovery
-    ?heartbeat ?attrib m ~power =
   let o =
-    match power with
-    | Unlimited ->
-      run_unlimited ?max_instructions ?sim_budget_ns ?fault ?after_recovery
-        ?heartbeat ?attrib m
-    | Harvested { trace; capacitor_farads; v_max; v_min } ->
-      run_harvested ?max_instructions ?max_sim_s ?sim_budget_ns ?fault
-        ?after_recovery ?heartbeat ?attrib m ~trace ~farads:capacitor_farads
-        ~v_max ~v_min
+    Fun.protect ~finally:(fun () -> unwatch_fault w) @@ fun () ->
+    while (not (M.halted m)) && s.f.now <= budget do
+      if s.instructions >= max_instructions then
+        raise (Stagnation "instruction guard exceeded without Halt");
+      (* The voltage state machine, harvested power only: [stopped] when
+         a backup or a death takes this iteration instead of a step. *)
+      let stopped =
+        match supply with
+        | None -> false
+        | Some sp ->
+          let cap = sp.cap in
+          if s.f.now *. 1.0e-9 > max_sim_s then
+            raise (Stagnation "simulated-time guard exceeded");
+          (* Re-arm the backup trigger once the voltage has recovered. *)
+          if (not s.backup_armed) && cap.Capacitor.energy >= th_restore then
+            s.backup_armed <- true;
+          if has_jit && s.backup_armed && cap.Capacitor.energy < th_backup
+          then begin
+            s.backup_armed <- false;
+            (* NvMR keeps running on the remaining charge; otherwise the
+               backup (or its failure) is followed by power-down. *)
+            let ok = try_backup s sp in
+            if not (M.continues_after_backup m && ok) then power_cycle s;
+            true
+          end
+          else if cap.Capacitor.energy < th_vmin then begin
+            (* Hard death: volatile state is lost. *)
+            s.deaths <- s.deaths + 1;
+            if Sink.on () then
+              Sink.emit ~ns:s.f.now (Ev.Death { volts = Capacitor.voltage cap });
+            power_cycle s;
+            true
+          end
+          else false
+      in
+      if not stopped then begin
+        (* Attribution pre-reads: the PC about to execute and the
+           monotonic machine counters whose per-step deltas get charged
+           to it.  All int reads except the stall total, which stays
+           unboxed in a register (cmmgen unboxes float lets whose uses
+           are float ops — same discipline as the loop totals). *)
+        let pc = cpu.Cpu.pc in
+        let w0 = Nvm.write_events nvm in
+        let mi0 = Cache.misses acache in
+        let st0 =
+          mst.Mstats.f.Mstats.wait_ns +. mst.Mstats.f.Mstats.waw_stall_ns
+        in
+        let rg0 = mst.Mstats.regions in
+        acc.Exec.Acc.now <- s.f.now;
+        M.step m;
+        let step_ns = acc.Exec.Acc.ns and step_joules = acc.Exec.Acc.joules in
+        (* Unconditional attribution stores ([i] = 0 when disabled): int
+           adds, unboxed float adds, and the epoch/stamp/delta
+           re-execution bookkeeping.  The epoch bump uses the step's
+           region-count delta, so a retiring region boundary commits its
+           own instruction. *)
+        let i = pc land at.Attrib.mask in
+        Array.unsafe_set at.Attrib.count i
+          (Array.unsafe_get at.Attrib.count i + 1);
+        Array.unsafe_set at.Attrib.ns i
+          (Array.unsafe_get at.Attrib.ns i +. step_ns);
+        Array.unsafe_set at.Attrib.joules i
+          (Array.unsafe_get at.Attrib.joules i +. step_joules);
+        Array.unsafe_set at.Attrib.nvm_writes i
+          (Array.unsafe_get at.Attrib.nvm_writes i
+          + (Nvm.write_events nvm - w0));
+        Array.unsafe_set at.Attrib.cache_misses i
+          (Array.unsafe_get at.Attrib.cache_misses i
+          + (Cache.misses acache - mi0));
+        Array.unsafe_set at.Attrib.stall_ns i
+          (Array.unsafe_get at.Attrib.stall_ns i
+          +. (mst.Mstats.f.Mstats.wait_ns
+             +. mst.Mstats.f.Mstats.waw_stall_ns -. st0));
+        if Array.unsafe_get at.Attrib.stamp i = at.Attrib.epoch then
+          Array.unsafe_set at.Attrib.delta i
+            (Array.unsafe_get at.Attrib.delta i + 1)
+        else begin
+          Array.unsafe_set at.Attrib.stamp i at.Attrib.epoch;
+          Array.unsafe_set at.Attrib.delta i 1
+        end;
+        at.Attrib.epoch <- at.Attrib.epoch + (mst.Mstats.regions - rg0);
+        s.f.compute_joules <- s.f.compute_joules +. step_joules;
+        (match supply with
+        | None -> ()
+        | Some sp ->
+          let cap = sp.cap in
+          (* Capacitor.consume, inlined. *)
+          let e = cap.Capacitor.energy -. step_joules in
+          cap.Capacitor.energy <- (if e > 0.0 then e else 0.0);
+          (* pass_time_on, inlined: quiescent draw, then harvest at the
+             pre-advance timestamp (same order as the function). *)
+          if step_ns > 0.0 then begin
+            let dt = step_ns *. 1.0e-9 in
+            let pq = p_quiescent *. dt in
+            let e = cap.Capacitor.energy -. pq in
+            cap.Capacitor.energy <- (if e > 0.0 then e else 0.0);
+            s.f.quiescent_joules <- s.f.quiescent_joules +. pq;
+            (* Trace sample, from the cache while [now] stays inside the
+               current 100 µs hold interval.  On a recompute: [now]
+               never goes backwards from 0, so [idx] is non-negative and
+               one [mod] reproduces [Trace.power]'s wraparound; the
+               refreshed edge is shrunk by a relative 1e-6 (≫ any
+               rounding error, ≪ the interval) so it can never land past
+               the true boundary. *)
+            if s.f.now >= s.f.trace_edge then begin
+              let idx = int_of_float (s.f.now *. 1.0e-9 /. tr_dt) in
+              s.f.trace_p <- Array.unsafe_get tr_samples (idx mod tr_n);
+              s.f.trace_edge <-
+                float_of_int (idx + 1) *. tr_dt *. 1.0e9 *. 0.999999
+            end;
+            let p = s.f.trace_p in
+            let e = cap.Capacitor.energy +. (p *. dt) in
+            cap.Capacitor.energy <-
+              (if e < cap.Capacitor.e_max then e else cap.Capacitor.e_max)
+          end);
+        s.f.now <- s.f.now +. step_ns;
+        s.f.on_ns <- s.f.on_ns +. step_ns;
+        s.instructions <- s.instructions + 1;
+        (* Amortized liveness beat: a compare + subtract per
+           instruction, the rest on the cold [fire] path every
+           [hb.every] instructions. *)
+        hb.Hb.countdown <- hb.Hb.countdown - 1;
+        if hb.Hb.countdown <= 0 then
+          Hb.fire hb ~sim_ns:s.f.now ~instructions:s.instructions
+            ~reboots:s.outages ~nvm_writes:(Nvm.write_events nvm);
+        (* Sparse voltage samples while executing keep the counter track
+           legible without swamping the trace.  The cheap modulus goes
+           first: [Sink.on] is a call. *)
+        (match supply with
+        | Some sp when s.instructions mod 5_000 = 0 && Sink.on () ->
+          Sink.emit ~ns:s.f.now
+            (Ev.Voltage { volts = Capacitor.voltage sp.cap })
+        | Some _ | None -> ());
+        match fault_to_fire w ~instructions:s.instructions with
+        | Some f ->
+          w.fired <- true;
+          inject s f ~trigger:(Fault.trigger_kind f.Fault.trigger);
+          for _ = 1 to f.Fault.nested do inject s f ~trigger:"nested" done
+        | None -> ()
+      end
+    done;
+    let completed = M.halted m in
+    (* A budget stop is graceful (the early-stop path): the machine is
+       left undrained and the outcome reports partial progress with
+       [completed = false]. *)
+    if completed then begin
+      let pc0 = cpu.Cpu.pc in
+      let w0 = Nvm.write_events nvm in
+      let d = M.drain m ~now_ns:s.f.now in
+      (match supply with
+      | Some sp -> Capacitor.consume sp.cap d.Cost.joules
+      | None -> ());
+      s.f.compute_joules <- s.f.compute_joules +. d.Cost.joules;
+      Attrib.note_cold at ~pc:pc0
+        ~nvm_writes:(Nvm.write_events nvm - w0)
+        ~ns:d.Cost.ns ~joules:d.Cost.joules ();
+      pass_time_on s d.Cost.ns
+    end;
+    {
+      completed;
+      on_ns = s.f.on_ns;
+      off_ns = s.f.off_ns;
+      outages = s.outages;
+      deaths = s.deaths;
+      backups = s.backups;
+      failed_backups = s.failed_backups;
+      compute_joules = s.f.compute_joules;
+      backup_joules = s.f.backup_joules;
+      restore_joules = s.f.restore_joules;
+      quiescent_joules = s.f.quiescent_joules;
+      instructions = s.instructions;
+      injected_faults = s.injected_faults;
+    }
   in
   publish_outcome o;
   o

@@ -67,20 +67,30 @@ val run :
   power:power ->
   outcome
 (** Executes until [Halt] (plus {!Sweep_machine.Machine_intf.drain}).
-    Guards default to 500 M instructions and 600 simulated seconds.
-    When {!Sweep_obs.Sink.on}, emits power/backup/restore/voltage events;
-    when {!Sweep_obs.Metrics.enabled}, publishes the outcome (unlabelled)
-    via {!publish_outcome}.
+    Both power modes run one cycle loop.  Under [Unlimited] power there
+    is no capacitor: the loop skips the voltage state machine and the
+    energy arithmetic, so nothing backs up or dies, and [off_ns],
+    [deaths], [backups], [backup_joules] and [quiescent_joules] stay 0.
+    When {!Sweep_obs.Sink.on}, emits power/backup/restore/voltage events
+    (no voltage samples under [Unlimited]); when
+    {!Sweep_obs.Metrics.enabled}, accumulates the outcome's [driver.*]
+    counters into the registry, unlabelled.
+
+    Guards raise {!Stagnation}.  The instruction guard (default 500 M)
+    allows exactly [max_instructions] instructions, counted across
+    reboots: a run that needs N completes at [max_instructions = N] and
+    raises at N - 1.  The simulated-time guard (default 600 s) applies
+    to harvested power only.
 
     [?sim_budget_ns] is a {e graceful} simulated-time ceiling: unlike
-    the guards (which raise {!Stagnation}), reaching it stops the run
-    cleanly with [completed = false] and partial totals — sweeptune's
-    early-stop uses it to cut dominated cells.  The check is one float
-    compare per loop iteration, so the budget is honoured to within
-    one instruction (or one power cycle).
+    the guards, reaching it stops the run cleanly with
+    [completed = false] and partial totals — sweeptune's early-stop
+    uses it to cut dominated cells.  The check is one float compare per
+    loop iteration, so the budget is honoured to within one instruction
+    (or one power cycle).
 
-    [?heartbeat] attaches per-run liveness beats: the hot loops pay a
-    compare + subtract per instruction and call
+    [?heartbeat] attaches per-run liveness beats: the cycle loop pays a
+    compare + subtract per instruction and calls
     {!Sweep_obs.Heartbeat.fire} every [every] instructions, emitting
     {!Sweep_obs.Event.Heartbeat} (instructions, reboots, NVM writes;
     simulated time as the timestamp) and invoking the observer — the
@@ -88,11 +98,11 @@ val run :
     fire; the fired path is amortized far below the [test alloc]
     gate's threshold.
 
-    [?attrib] arms per-PC attribution: the cycle loops charge each
+    [?attrib] arms per-PC attribution: the cycle loop charges each
     instruction's time, energy, NVM line-writes, cache misses and
     persist stalls to the PC that executed it, and the epoch scheme in
     {!Sweep_obs.Attrib} splits work into forward progress vs.
-    re-executed-after-crash.  The loops always run the accumulation
+    re-executed-after-crash.  The loop always runs the accumulation
     stores (indexing a one-slot buffer when no profiler is attached),
     so arming costs no extra branch and the path stays allocation-free
     — [test alloc] runs with attribution armed.  Crash paths emit an
@@ -104,14 +114,12 @@ val run :
     model does: the machine's [on_power_failure]/[on_reboot] paths run
     exactly as for a real death, a JIT design first banks the backup
     its detector would have banked, and a [Fault_inject] event is
-    emitted.  Under [Unlimited] power the off period is instantaneous.
-    Event-triggered plans require a sequential run.
+    emitted.  Under [Unlimited] power the off period is instantaneous
+    ([Power_down] reports 0 V) and that backup is free: no joules, no
+    [backups] count, no [Backup] event.  Event-triggered plans require
+    a sequential run.
 
     [?after_recovery] is invoked after {e every} completed recovery
     (injected or voltage-driven) with the machine in its
     just-recovered state — the differential checker's observation
     hook. *)
-
-val publish_outcome : ?labels:(string * string) list -> outcome -> unit
-(** Accumulate an outcome's counters ([driver.*]) into the global
-    {!Sweep_obs.Metrics} registry.  No-op when metrics are disabled. *)

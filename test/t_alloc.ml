@@ -2,15 +2,19 @@
 
    With no event sink installed, the cycle loop — Exec.step dispatch,
    mem-ops, accumulator charging, and the driver's totals bookkeeping —
-   must not allocate on the minor heap at all.  We run the same design
-   at two workload scales and require the minor-allocation delta across
+   must not allocate on the minor heap at all.  We run each design at
+   two workload scales and require the minor-allocation delta across
    Driver.run to stay below a small constant that does not grow with the
    instruction count (machine construction and the outcome record are
-   allowed; per-instruction garbage is not). *)
+   allowed; per-instruction garbage is not).  Every design is measured
+   under unlimited power and under RFHome at 10 µF: sha@0.02 and sha@0.1
+   see no outage there, so the harvested run measures the
+   per-instruction capacitor and trace arithmetic, not the crash paths. *)
 
 module H = Sweep_sim.Harness
 module Driver = Sweep_sim.Driver
 module Pipeline = Sweep_compiler.Pipeline
+module Trace = Sweep_energy.Power_trace
 
 (* Minor words allocated during one full Driver.run of [design] on
    sha@[scale], machine construction excluded.  Heartbeats stay armed:
@@ -21,7 +25,7 @@ module Pipeline = Sweep_compiler.Pipeline
    load-add-store accumulation (including the float counters and the
    epoch/stamp/delta re-execution bookkeeping) is part of the same
    zero-allocation contract. *)
-let measure design scale =
+let measure design ~power scale =
   let ast =
     Sweep_workloads.Workload.program ~scale
       (Sweep_workloads.Registry.find "sha")
@@ -35,36 +39,48 @@ let measure design scale =
   in
   Gc.full_major ();
   let w0 = Gc.minor_words () in
-  let outcome = Driver.run ~heartbeat ~attrib m ~power:Driver.Unlimited in
+  let outcome = Driver.run ~heartbeat ~attrib m ~power in
   let w1 = Gc.minor_words () in
-  (w1 -. w0, outcome.Driver.instructions)
+  (w1 -. w0, outcome)
 
-let check_design design =
+let check_power design (mode, power) =
+  let name = Printf.sprintf "%s (%s)" (H.design_name design) mode in
   (* Warm-up run so one-time lazy initialisation is off the books. *)
-  ignore (measure design 0.02);
-  let small_words, small_instrs = measure design 0.02 in
-  let big_words, big_instrs = measure design 0.1 in
+  ignore (measure design ~power 0.02);
+  let small_words, small = measure design ~power 0.02 in
+  let big_words, big = measure design ~power 0.1 in
+  let small_instrs = small.Driver.instructions
+  and big_instrs = big.Driver.instructions in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: scales ran (%d -> %d instrs)" (H.design_name design)
-       small_instrs big_instrs)
+    (Printf.sprintf "%s: scales ran (%d -> %d instrs)" name small_instrs
+       big_instrs)
     true
     (big_instrs > small_instrs && small_instrs > 0);
+  Alcotest.(check int)
+    (name ^ ": no outage") 0
+    (small.Driver.outages + big.Driver.outages);
   let per_instr = (big_words -. small_words) /. float_of_int (big_instrs - small_instrs) in
   if per_instr > 1e-3 then
     Alcotest.failf
       "%s hot loop allocates: %.4f minor words/instr (%.0f words over %d \
        instrs vs %.0f over %d)"
-      (H.design_name design) per_instr big_words big_instrs small_words
-      small_instrs
+      name per_instr big_words big_instrs small_words small_instrs
 
-let test_nvp_zero_alloc () = check_design H.Nvp
-let test_sweep_zero_alloc () = check_design H.Sweep
-let test_replay_zero_alloc () = check_design H.Replay
+let check_design design () =
+  List.iter (check_power design)
+    [
+      ("unlimited", Driver.Unlimited);
+      ( "RFHome 10uF",
+        Driver.harvested ~trace:(Trace.make Trace.Rf_home) ~farads:10e-6 () );
+    ]
 
 let suite =
-  [
-    Alcotest.test_case "nvp hot loop alloc-free" `Slow test_nvp_zero_alloc;
-    Alcotest.test_case "sweep hot loop alloc-free" `Slow test_sweep_zero_alloc;
-    Alcotest.test_case "replay hot loop alloc-free" `Slow
-      test_replay_zero_alloc;
-  ]
+  List.map
+    (fun (short, design) ->
+      Alcotest.test_case (short ^ " hot loop alloc-free") `Slow
+        (check_design design))
+    [
+      ("nvp", H.Nvp); ("wt", H.Wt); ("nvsram", H.Nvsram);
+      ("nvsram-e", H.Nvsram_e); ("replay", H.Replay); ("nvmr", H.Nvmr);
+      ("sweep", H.Sweep);
+    ]

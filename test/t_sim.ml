@@ -4,7 +4,10 @@
    interpreter's. *)
 module H = Sweep_sim.Harness
 module Driver = Sweep_sim.Driver
+module Fault = Sweep_sim.Fault
 module Trace = Sweep_energy.Power_trace
+module Sink = Sweep_obs.Sink
+module Ev = Sweep_obs.Event
 
 let check = Alcotest.check
 
@@ -36,8 +39,8 @@ let test_outages_happen_on_long_runs () =
   Alcotest.(check bool) "off time accrues" true (r.H.outcome.Driver.off_ns > 0.0)
 
 let test_instruction_guard () =
-  let open Sweep_lang.Dsl in
   let spin =
+    let open Sweep_lang.Dsl in
     program
       [ scalar "x" 1 ]
       [ func "main" [] [ while_ (g "x" > i 0) [ setg "x" (g "x" + i 1) ] ] ]
@@ -47,7 +50,39 @@ let test_instruction_guard () =
        H.run ~max_instructions:50_000 H.Nvp ~power:Driver.Unlimited spin
      with
     | _ -> false
-    | exception Driver.Stagnation _ -> true)
+    | exception Driver.Stagnation _ -> true);
+  (* The guard allows exactly [max_instructions]: a program needing N
+     instructions completes at N and stops at N - 1, in either power
+     mode (RFHome at 10 µF sees no outage on sha@0.05). *)
+  let prog =
+    Sweep_workloads.Workload.program ~scale:0.05
+      (Sweep_workloads.Registry.find "sha")
+  in
+  List.iter
+    (fun (mode, power) ->
+      let n = (H.run H.Nvp ~power prog).H.outcome.Driver.instructions in
+      let r = H.run ~max_instructions:n H.Nvp ~power prog in
+      Alcotest.(check bool) (mode ^ ": completes at N") true
+        r.H.outcome.Driver.completed;
+      match H.run ~max_instructions:(n - 1) H.Nvp ~power prog with
+      | _ -> Alcotest.failf "%s: completed past a guard of N - 1" mode
+      | exception Driver.Stagnation msg ->
+        check Alcotest.string (mode ^ ": message")
+          "instruction guard exceeded without Halt" msg)
+    [
+      ("unlimited", Driver.Unlimited);
+      ( "RFHome 10uF",
+        Driver.harvested ~trace:(Trace.make Trace.Rf_home) ~farads:10e-6 () );
+    ];
+  (* The simulated-time guard binds harvested power only. *)
+  Alcotest.(check bool) "unlimited: no simulated-time guard" true
+    (H.run ~max_sim_s:1e-6 H.Nvp ~power:Driver.Unlimited prog).H.outcome
+      .Driver.completed;
+  match H.run ~max_sim_s:1e-6 H.Nvp ~power:(Thelpers.harvested ()) prog with
+  | _ -> Alcotest.fail "harvested: completed past the simulated-time guard"
+  | exception Driver.Stagnation msg ->
+    check Alcotest.string "harvested: time-guard message"
+      "simulated-time guard exceeded" msg
 
 let test_bigger_capacitor_fewer_outages () =
   let prog =
@@ -196,3 +231,131 @@ let suite =
       Alcotest.test_case "sweep minimal re-execution" `Quick
         test_sweep_never_reexecutes_committed_work;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Golden driver output.  Each run's outcome fields (floats in [%h]),
+   its per-PC profile JSON and its event stream (timestamp, tag, name,
+   JSON args) are hashed into one MD5 digest and compared with the
+   table below.  The matrix is every design × {unlimited power,
+   RFOffice at 100 nF} × {no fault, a nested crash at instruction 3000,
+   a doubly nested crash at the 5th region_end} on sha@0.1: it drives
+   JIT backups, deaths, NvMR's keep-running backups and the injected
+   crash's JIT commit (charged under harvested power, free under
+   unlimited power).  Only SweepCache emits region_end, so the other
+   designs' event-fault rows equal their fault-free ones.  When a model change is meant to move these
+   outputs, run the sim suite ([dune exec test/test_main.exe -- test
+   sim]): this test's failure prints a replacement row for every run
+   that moved. *)
+
+let golden_table =
+  [
+    ("NVP unlimited none", "7769242f9444872aa638bed3c879f6fa");
+    ("NVP unlimited instr3000+1", "e862618365cb8301c7180b8bbd09bbca");
+    ("NVP unlimited region_end#5+2", "7769242f9444872aa638bed3c879f6fa");
+    ("NVP rfoffice-100nF none", "ac94c865ecd158074f5af8875b7696a5");
+    ("NVP rfoffice-100nF instr3000+1", "522e938dc44c8d8fe835dfd70ed3746a");
+    ("NVP rfoffice-100nF region_end#5+2", "ac94c865ecd158074f5af8875b7696a5");
+    ("WT-VCache unlimited none", "5dc178c5ca6008607fb78879ca918f0f");
+    ("WT-VCache unlimited instr3000+1", "ae1eb17417a2fca1481bb015370026c3");
+    ("WT-VCache unlimited region_end#5+2", "5dc178c5ca6008607fb78879ca918f0f");
+    ("WT-VCache rfoffice-100nF none", "ce50104e7f1069edd749e0d43a5fb890");
+    ("WT-VCache rfoffice-100nF instr3000+1", "e0ab4a70372f45f0e792777ae2b1fd3d");
+    ("WT-VCache rfoffice-100nF region_end#5+2", "ce50104e7f1069edd749e0d43a5fb890");
+    ("NVSRAM unlimited none", "3dbaeb166a176aa391a2ed005eb39fe1");
+    ("NVSRAM unlimited instr3000+1", "a3d3def01776b34ae72f58bf6f2f922e");
+    ("NVSRAM unlimited region_end#5+2", "3dbaeb166a176aa391a2ed005eb39fe1");
+    ("NVSRAM rfoffice-100nF none", "ea89b1a435b5c6658bc3a759ee9c59bf");
+    ("NVSRAM rfoffice-100nF instr3000+1", "5c01980e36b505b8d527507f81a2398d");
+    ("NVSRAM rfoffice-100nF region_end#5+2", "ea89b1a435b5c6658bc3a759ee9c59bf");
+    ("NVSRAM-E unlimited none", "fd3f26b3ecf43abd8830b2ea1e9eb4fa");
+    ("NVSRAM-E unlimited instr3000+1", "a64ba6ebc68c3bd62e33dd11898cb55a");
+    ("NVSRAM-E unlimited region_end#5+2", "fd3f26b3ecf43abd8830b2ea1e9eb4fa");
+    ("NVSRAM-E rfoffice-100nF none", "98a06b51a5261564bc92abfc974bf465");
+    ("NVSRAM-E rfoffice-100nF instr3000+1", "2d24c8c28f7102866713336bb41d457a");
+    ("NVSRAM-E rfoffice-100nF region_end#5+2", "98a06b51a5261564bc92abfc974bf465");
+    ("ReplayCache unlimited none", "294f58aa7a113d0829d648594a453405");
+    ("ReplayCache unlimited instr3000+1", "3e51a7f7acd27c7ffd13890b890d7c76");
+    ("ReplayCache unlimited region_end#5+2", "294f58aa7a113d0829d648594a453405");
+    ("ReplayCache rfoffice-100nF none", "677147dec4d1a373714db776df9003e7");
+    ("ReplayCache rfoffice-100nF instr3000+1", "a0e8a12be3d4b8a5ff7aa60690a73e9f");
+    ("ReplayCache rfoffice-100nF region_end#5+2", "677147dec4d1a373714db776df9003e7");
+    ("NvMR unlimited none", "761855707d3c3a5707367df8b0e19bc4");
+    ("NvMR unlimited instr3000+1", "2e04e461deb5ebaee79f7e92976f3003");
+    ("NvMR unlimited region_end#5+2", "761855707d3c3a5707367df8b0e19bc4");
+    ("NvMR rfoffice-100nF none", "9bc750e105e7356aa9cba94c03fd5f02");
+    ("NvMR rfoffice-100nF instr3000+1", "2465eec3150a4554c9bc5aa2868cbbd5");
+    ("NvMR rfoffice-100nF region_end#5+2", "9bc750e105e7356aa9cba94c03fd5f02");
+    ("SweepCache unlimited none", "48080c5f9547dde20fe879aca5cea4ef");
+    ("SweepCache unlimited instr3000+1", "ade78c4c42e66e086887c68b7b86144a");
+    ("SweepCache unlimited region_end#5+2", "958cd77e53228734dee7b58ed9baabb6");
+    ("SweepCache rfoffice-100nF none", "a1016bb329b5e83a1913577675cebbbd");
+    ("SweepCache rfoffice-100nF instr3000+1", "3596111bfaad6105ffdb4e7597aea78c");
+    ("SweepCache rfoffice-100nF region_end#5+2", "91d889bb7c2a30433251fee0fcc98714");
+  ]
+
+let golden_digest prog (design, power, fault) =
+  let events = Buffer.create 65536 in
+  let sink =
+    Sink.make (fun ~ns ev ->
+        Printf.bprintf events "%h %s %s {%s}\n" ns (Ev.tag ev) (Ev.name ev)
+          (Ev.json_args ev))
+  in
+  let r =
+    Sink.with_sink sink (fun () ->
+        H.run ~attrib:true ?fault design ~power prog)
+  in
+  let o = r.H.outcome in
+  let outcome =
+    Printf.sprintf "%b %h %h %d %d %d %d %h %h %h %h %d %d" o.Driver.completed
+      o.Driver.on_ns o.Driver.off_ns o.Driver.outages o.Driver.deaths
+      o.Driver.backups o.Driver.failed_backups o.Driver.compute_joules
+      o.Driver.backup_joules o.Driver.restore_joules o.Driver.quiescent_joules
+      o.Driver.instructions o.Driver.injected_faults
+  in
+  let profile =
+    Sweep_sim.Profile.to_json (Option.get (Sweep_sim.Profile.of_result r))
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n" [ outcome; profile; Buffer.contents events ]))
+
+let test_golden_outputs () =
+  let prog =
+    Sweep_workloads.Workload.program ~scale:0.1
+      (Sweep_workloads.Registry.find "sha")
+  in
+  let powers =
+    [ ("unlimited", Driver.Unlimited);
+      ("rfoffice-100nF", Thelpers.harvested ~farads:100e-9 ()) ]
+  and faults =
+    [ ("none", None);
+      ("instr3000+1", Some (Fault.at_instruction ~nested:1 3000));
+      ("region_end#5+2", Some (Fault.at_event ~nth:5 ~nested:2 "region_end")) ]
+  in
+  let runs =
+    List.concat_map
+      (fun design ->
+        List.concat_map
+          (fun (pname, power) ->
+            List.map
+              (fun (fname, fault) ->
+                ( String.concat " " [ H.design_name design; pname; fname ],
+                  (design, power, fault) ))
+              faults)
+          powers)
+      H.all_designs
+  in
+  let moved =
+    List.filter_map
+      (fun (label, run) ->
+        let d = golden_digest prog run in
+        if List.assoc_opt label golden_table = Some d then None
+        else Some (Printf.sprintf "    (%S, %S);" label d))
+      runs
+  in
+  if moved <> [] then
+    Alcotest.failf "%d of %d runs moved; new rows:\n%s" (List.length moved)
+      (List.length runs) (String.concat "\n" moved)
+
+let suite =
+  suite @ [ Alcotest.test_case "golden driver output" `Slow test_golden_outputs ]
