@@ -8,10 +8,27 @@ let kind_name = function
 
 let all_kinds = [ Rf_home; Rf_office; Solar; Thermal ]
 
+(* A jittered trace's generator.  Everything generation mutates (the
+   drop RNG, the published length) lives here, behind the one [gen]
+   that every copy of the trace record shares, so [with_tag]'s
+   [{ t with ... }] can never fork a counter from its buffer. *)
+type gen = {
+  base : float array; (* complete source samples *)
+  steps : int; (* right rotation, in samples *)
+  factor : float;
+  drop_frac : float;
+  rng : Sweep_util.Rng.t; (* the drop stream: one draw per sample, in order *)
+  lock : Mutex.t; (* serialises generation *)
+  ready : int Atomic.t;
+      (* samples [0, ready) are generated; set only after the samples
+         it covers are written *)
+}
+
 type t = {
   kind : kind;
   dt_s : float;
   samples : float array; (* watts *)
+  gen : gen option; (* [None]: complete when built *)
   tag : string option; (* transform provenance, part of the power key *)
 }
 
@@ -73,11 +90,41 @@ let make ?(seed = 42) kind =
     gen_rf rng ~p_on_w:650.0e-6 ~mean_on_s:0.0015 ~mean_off_s:0.0020 samples
   | Solar -> gen_solar rng samples
   | Thermal -> gen_thermal rng samples);
-  { kind; dt_s; samples; tag = None }
+  { kind; dt_s; samples; gen = None; tag = None }
 
 let kind t = t.kind
 
+(* Jittered samples are generated a chunk at a time: a device reads
+   well under a second of its 60 s trace, so generating on demand
+   skips nearly all of it, while chunking keeps the lock off the
+   per-sample path. *)
+let chunk = 4096
+
+let extend g samples i =
+  Mutex.protect g.lock (fun () ->
+      let r = Atomic.get g.ready in
+      if i >= r then begin
+        let n = Array.length samples in
+        let stop = min n ((i / chunk + 1) * chunk) in
+        for j = r to stop - 1 do
+          let p = g.base.((j - g.steps + n) mod n) *. g.factor in
+          samples.(j) <-
+            (if Sweep_util.Rng.float g.rng 1.0 < g.drop_frac then 0.0 else p)
+        done;
+        Atomic.set g.ready stop
+      end)
+
+let ensure t i =
+  match t.gen with
+  | None -> ()
+  | Some g -> if i >= Atomic.get g.ready then extend g t.samples i
+
 let samples t = t.samples
+
+let complete t =
+  ensure t (Array.length t.samples - 1);
+  t.samples
+
 let sample_dt t = t.dt_s
 let tag t = t.tag
 let with_tag t tag = { t with tag = Some tag }
@@ -85,80 +132,70 @@ let with_tag t tag = { t with tag = Some tag }
 let power t time_s =
   let idx = int_of_float (time_s /. t.dt_s) in
   let n = Array.length t.samples in
-  t.samples.(((idx mod n) + n) mod n)
+  let i = ((idx mod n) + n) mod n in
+  ensure t i;
+  t.samples.(i)
 
 let mean_power t =
-  Array.fold_left ( +. ) 0.0 t.samples /. float_of_int (Array.length t.samples)
+  let samples = complete t in
+  Array.fold_left ( +. ) 0.0 samples /. float_of_int (Array.length samples)
 
 let duty_cycle t =
+  let samples = complete t in
   let live =
-    Array.fold_left (fun acc p -> if p > 1.0e-6 then acc + 1 else acc) 0 t.samples
+    Array.fold_left (fun acc p -> if p > 1.0e-6 then acc + 1 else acc) 0 samples
   in
-  float_of_int live /. float_of_int (Array.length t.samples)
+  float_of_int live /. float_of_int (Array.length samples)
 
-(* ---- validated transforms (the fleet jitter layer builds on these) ----
+(* ---- jitter (the fleet's per-device power perturbation) ----
 
-   Every transform returns a fresh trace on the same 100 µs grid; the
-   input is never mutated.  Validation mirrors [load_csv]: a transform
-   that would shift timestamps negative (or otherwise break the
-   monotone zero-based grid the zero-order-hold lookup assumes) is a
-   [Failure], not a silent corruption. *)
+   Rotate, then scale, then drop, fused into one lazy pass over the
+   100 µs grid; [t] is never mutated.  Validation mirrors [load_csv]:
+   parameters that would shift timestamps negative (or otherwise break
+   the monotone zero-based grid the zero-order-hold lookup assumes) are
+   a [Failure], not a silent corruption.
 
-(* Rotate the trace right by [shift_s] seconds: the returned trace at
-   time x reads the original at (x - shift_s), wrapping — timestamps
-   stay the 0, dt, 2·dt, … grid, so they remain non-negative and
-   strictly monotonic by construction.  A negative shift would be a
-   left rotation expressible only with negative timestamps pre-wrap;
-   reject it (callers wanting one can shift by duration - s). *)
-let time_shift t shift_s =
+   The rotation reads the source at (x - shift_s), wrapping, so
+   timestamps stay the 0, dt, 2·dt, … grid; a negative shift would be a
+   left rotation expressible only with negative timestamps pre-wrap
+   (callers wanting one can shift by duration - s).  Dropped samples are
+   zeroed in place, never removed: removing rows would compress the
+   timeline.  The drop stream is one draw per sample, in index order
+   over the rotated grid, so [extend] generates strictly in index order
+   (a read past [ready] generates everything before it): a sample's
+   value cannot depend on the order samples are read in. *)
+let jitter t ~shift_s ~factor ~drop_seed ~drop_frac =
   if not (Float.is_finite shift_s) then
-    failwith
-      (Printf.sprintf "Power_trace.time_shift: non-finite shift %g" shift_s);
+    failwith (Printf.sprintf "Power_trace.jitter: non-finite shift %g" shift_s);
   if shift_s < 0.0 then
     failwith
       (Printf.sprintf
-         "Power_trace.time_shift: negative shift %g would produce negative \
+         "Power_trace.jitter: negative shift %g would produce negative \
           timestamps"
          shift_s);
-  let n = Array.length t.samples in
-  let steps = int_of_float ((shift_s /. t.dt_s) +. 0.5) mod n in
-  if steps = 0 then { t with samples = Array.copy t.samples }
-  else
-    {
-      t with
-      samples = Array.init n (fun i -> t.samples.((i - steps + n) mod n));
-    }
-
-(* Scale every amplitude by [factor] (harvester efficiency / antenna
-   gain jitter).  Timestamps are untouched; a negative factor would
-   mean negative harvested power, which the capacitor model has no
-   interpretation for — reject it along with NaN/inf. *)
-let scale t factor =
   if not (Float.is_finite factor) then
-    failwith (Printf.sprintf "Power_trace.scale: non-finite factor %g" factor);
+    failwith (Printf.sprintf "Power_trace.jitter: non-finite factor %g" factor);
   if factor < 0.0 then
-    failwith (Printf.sprintf "Power_trace.scale: negative factor %g" factor);
-  { t with samples = Array.map (fun p -> p *. factor) t.samples }
-
-(* Zero each sample independently with probability [frac] (seeded):
-   momentary harvester blackouts.  Samples are zeroed in place on the
-   grid, never removed — removing rows would compress the timeline and
-   de-monotonize the mapping back to wall time. *)
-let drop_samples t ~seed ~frac =
-  if not (Float.is_finite frac) || frac < 0.0 || frac > 1.0 then
+    failwith (Printf.sprintf "Power_trace.jitter: negative factor %g" factor);
+  if not (Float.is_finite drop_frac) || drop_frac < 0.0 || drop_frac > 1.0 then
     failwith
-      (Printf.sprintf "Power_trace.drop_samples: fraction %g out of [0, 1]"
-         frac);
-  if frac = 0.0 then { t with samples = Array.copy t.samples }
-  else
-    let rng = Sweep_util.Rng.create seed in
+      (Printf.sprintf "Power_trace.jitter: drop fraction %g out of [0, 1]"
+         drop_frac);
+  let base = complete t in
+  let n = Array.length base in
+  let gen =
     {
-      t with
-      samples =
-        Array.map
-          (fun p -> if Sweep_util.Rng.float rng 1.0 < frac then 0.0 else p)
-          t.samples;
+      base;
+      steps = int_of_float ((shift_s /. t.dt_s) +. 0.5) mod n;
+      factor;
+      drop_frac;
+      rng = Sweep_util.Rng.create drop_seed;
+      lock = Mutex.create ();
+      ready = Atomic.make 0;
     }
+  in
+  (* Never read past [ready], so the buffer needs no initialising. *)
+  { t with samples = Array.create_float n; gen = Some gen }
 
 let save_csv t path =
   let oc = open_out path in
@@ -169,7 +206,7 @@ let save_csv t path =
       Array.iteri
         (fun idx p ->
           Printf.fprintf oc "%.6f,%.9f\n" (float_of_int idx *. t.dt_s) p)
-        t.samples)
+        (complete t))
 
 let load_csv ?(kind = Rf_office) path =
   let ic = open_in path in
@@ -226,4 +263,4 @@ let load_csv ?(kind = Rf_office) path =
     end
   in
   fill rows 0 (snd (List.hd rows));
-  { kind; dt_s; samples; tag = None }
+  { kind; dt_s; samples; gen = None; tag = None }

@@ -26,11 +26,13 @@ let sweep_empty_bit = setting ~label:"Sweep/EmptyBit" H.Sweep
 let fig5_settings =
   [ setting H.Replay; setting H.Nvsram; sweep_nvm_search; sweep_empty_bit ]
 
-(* Traces are memoised behind a mutex: [Trace.t] is immutable once
-   built, so sharing one instance across domains is safe; the lock only
-   guards the table itself.  The executor pre-materialises every trace a
-   job list needs before spawning workers, so workers normally hit the
-   table read-only. *)
+(* Traces are memoised behind a mutex: a trace from [Trace.make] is
+   complete and never changes once built, so sharing one instance
+   across domains is safe; the lock only guards the table itself.  (A
+   jittered trace, which is generated on demand, locks its own
+   generation.)  The executor pre-materialises every trace a job list
+   needs before spawning workers, so workers normally hit the table
+   read-only. *)
 let trace_lock = Mutex.create ()
 let trace_cache : (Trace.kind, Trace.t) Hashtbl.t = Hashtbl.create 4
 

@@ -63,11 +63,12 @@ let power_id = function
    indices are drawn over the rotated grid, so the order is part of the
    device's identity — sweepsim's replay flags apply the same order. *)
 let apply_jitter trace ~shift_steps ~amp_permille ~drop_bp ~drop_seed =
-  let t = Trace.time_shift trace (float_of_int shift_steps *. Trace.sample_dt trace) in
-  let t = Trace.scale t (float_of_int amp_permille /. 1000.0) in
   let t =
-    Trace.drop_samples t ~seed:drop_seed
-      ~frac:(float_of_int drop_bp /. 10_000.0)
+    Trace.jitter trace
+      ~shift_s:(float_of_int shift_steps *. Trace.sample_dt trace)
+      ~factor:(float_of_int amp_permille /. 1000.0)
+      ~drop_seed
+      ~drop_frac:(float_of_int drop_bp /. 10_000.0)
   in
   Trace.with_tag t (jitter_tag ~shift_steps ~amp_permille ~drop_bp ~drop_seed)
 
@@ -78,9 +79,10 @@ let to_power = function
   | Jittered
       { kind; farads; v_max; v_min; shift_steps; amp_permille; drop_bp;
         drop_seed } ->
-    (* The jittered copy is per-device and transient — only the shared
+    (* The jittered trace is per-device and transient — only the shared
        base trace goes through the memo table, or a 100k-device fleet
-       would pin 100k 4.8 MB arrays. *)
+       would pin 100k sample buffers.  It is lazy: the device pays only
+       for the samples its run reads. *)
     let trace =
       apply_jitter (Exp_common.trace_of kind) ~shift_steps ~amp_permille
         ~drop_bp ~drop_seed

@@ -72,18 +72,19 @@ val apply_jitter :
   drop_bp:int ->
   drop_seed:int ->
   Sweep_energy.Power_trace.t
-(** The canonical jitter pipeline — {!Sweep_energy.Power_trace.time_shift},
-    then [scale], then [drop_samples], then tagging with {!jitter_tag}.
-    Exposed so sweepsim's replay flags reproduce a fleet device's trace
-    bit-for-bit. *)
+(** The canonical jitter pipeline — {!Sweep_energy.Power_trace.jitter}
+    (rotate by [shift_steps] grid steps, scale by [amp_permille]/1000,
+    drop [drop_bp] basis points of samples), then tagging with
+    {!jitter_tag}.  Exposed so sweepsim's replay flags reproduce a fleet
+    device's trace bit-for-bit. *)
 
 val power_id : power_spec -> string
 (** Equals {!Exp_common.power_key} of {!to_power} of the spec. *)
 
 val to_power : power_spec -> Sweep_sim.Driver.power
 (** Materialises the trace through {!Exp_common.trace_of} (memoised,
-    mutex-guarded).  A [Jittered] spec transforms a fresh copy of the
-    memoised base trace — per-device copies are transient, never
+    mutex-guarded).  A [Jittered] spec jitters the memoised base trace
+    into a fresh lazy trace — per-device traces are transient, never
     cached. *)
 
 val prewarm : power_spec -> unit

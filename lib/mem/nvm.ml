@@ -1,24 +1,40 @@
 open Sweep_isa
 
-(* Word storage lives in a Bigarray so word reads/writes on the hot
-   path are plain unboxed int loads/stores with no GC involvement (the
-   16 MiB backing store would otherwise sit in the major heap and get
-   walked by the GC). *)
-type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(* Word storage is demand-paged.  The simulated NVM is 16 MiB (4 Mi
+   words of 4 bytes, each held in an 8-byte OCaml int), but a program
+   touches a few KB of it, so zero-filling a flat 32 MiB store per
+   machine would dominate machine construction.  Instead a fixed table
+   of [page_count] pages starts with every entry at one shared zero
+   page, which is only ever read; the first write to a page gives it
+   its own zeroed storage.  Only the host representation is paged:
+   addresses, events and byte counts are those of the flat store.
+
+   Pages are [int array]s: with the element type known, loads and
+   stores compile to plain unboxed accesses with no write barrier, and
+   the few pages a run owns are all the GC ever scans. *)
+
+let page_shift = 12
+let page_words = 1 lsl page_shift
+let word_count = Layout.nvm_bytes / Layout.word_bytes
+let page_count = word_count / page_words
+
+(* Shared by every [t] in every domain; never written. *)
+let zero_page = Array.make page_words 0
 
 type t = {
-  words : words;
+  pages : int array array;
   mutable read_events : int;
   mutable write_events : int;
   mutable bytes_written : int;
 }
 
-let word_count = Layout.nvm_bytes / Layout.word_bytes
-
 let create () =
-  let words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout word_count in
-  Bigarray.Array1.fill words 0;
-  { words; read_events = 0; write_events = 0; bytes_written = 0 }
+  {
+    pages = Array.make page_count zero_page;
+    read_events = 0;
+    write_events = 0;
+    bytes_written = 0;
+  }
 
 let check_word_addr addr =
   if addr land (Layout.word_bytes - 1) <> 0 then
@@ -26,39 +42,69 @@ let check_word_addr addr =
   if addr < 0 || addr >= Layout.nvm_bytes then
     invalid_arg (Printf.sprintf "Nvm: address %#x out of range" addr)
 
-(* After [check_word_addr]/[check_line_addr] the word index is provably
-   inside [word_count], so the hot accessors skip the Bigarray bounds
-   check (it would re-test what the explicit check just established). *)
-
-let read_word t addr =
-  check_word_addr addr;
-  t.read_events <- t.read_events + 1;
-  Bigarray.Array1.unsafe_get t.words (addr / Layout.word_bytes)
-
-let write_word t addr v =
-  check_word_addr addr;
-  t.write_events <- t.write_events + 1;
-  t.bytes_written <- t.bytes_written + Layout.word_bytes;
-  Bigarray.Array1.unsafe_set t.words (addr / Layout.word_bytes) v
-
 let check_line_addr base =
   if base land (Layout.line_bytes - 1) <> 0 then
     invalid_arg (Printf.sprintf "Nvm: unaligned line address %#x" base);
   if base < 0 || base + Layout.line_bytes > Layout.nvm_bytes then
     invalid_arg (Printf.sprintf "Nvm: line %#x out of range" base)
 
+(* After [check_word_addr]/[check_line_addr] the word index [w] is
+   provably inside [word_count], so page and offset lookups skip the
+   array bounds checks (they would re-test what the explicit check just
+   established).  A line never straddles pages: [page_words] is a
+   multiple of the line length. *)
+
+let page t w = Array.unsafe_get t.pages (w lsr page_shift)
+
+let own_page t w =
+  let p = Array.make page_words 0 in
+  Array.unsafe_set t.pages (w lsr page_shift) p;
+  p
+
+(* The page holding word [w], made private to [t] on first write.
+   Inlined, with [set], so a word store costs one pointer compare more
+   than a plain array store; the cold [own_page] stays a call. *)
+let[@inline] writable t w =
+  let p = page t w in
+  if p != zero_page then p else own_page t w
+
+let get t w = Array.unsafe_get (page t w) (w land (page_words - 1))
+let[@inline] set t w v =
+  Array.unsafe_set (writable t w) (w land (page_words - 1)) v
+
+let read_word t addr =
+  check_word_addr addr;
+  t.read_events <- t.read_events + 1;
+  get t (addr / Layout.word_bytes)
+
+let write_word t addr v =
+  check_word_addr addr;
+  t.write_events <- t.write_events + 1;
+  t.bytes_written <- t.bytes_written + Layout.word_bytes;
+  set t (addr / Layout.word_bytes) v
+
 let read_line t base =
   check_line_addr base;
   t.read_events <- t.read_events + 1;
   let w = base / Layout.word_bytes in
-  Array.init Layout.words_per_line (fun k -> t.words.{w + k})
+  let p = page t w and o = w land (page_words - 1) in
+  Array.sub p o Layout.words_per_line
 
 let read_line_into t base ~dst ~dst_pos =
   check_line_addr base;
   t.read_events <- t.read_events + 1;
   let w = base / Layout.word_bytes in
+  let p = page t w and o = w land (page_words - 1) in
   for k = 0 to Layout.words_per_line - 1 do
-    dst.(dst_pos + k) <- Bigarray.Array1.unsafe_get t.words (w + k)
+    dst.(dst_pos + k) <- Array.unsafe_get p (o + k)
+  done
+
+(* The first [words] words of a line from [src] at [src_pos]. *)
+let blit_line t base ~src ~src_pos ~words =
+  let w = base / Layout.word_bytes in
+  let p = writable t w and o = w land (page_words - 1) in
+  for k = 0 to words - 1 do
+    Array.unsafe_set p (o + k) src.(src_pos + k)
   done
 
 let write_line t base data =
@@ -66,19 +112,13 @@ let write_line t base data =
   assert (Array.length data = Layout.words_per_line);
   t.write_events <- t.write_events + 1;
   t.bytes_written <- t.bytes_written + Layout.line_bytes;
-  let w = base / Layout.word_bytes in
-  for k = 0 to Layout.words_per_line - 1 do
-    t.words.{w + k} <- data.(k)
-  done
+  blit_line t base ~src:data ~src_pos:0 ~words:Layout.words_per_line
 
 let write_line_from t base ~src ~src_pos =
   check_line_addr base;
   t.write_events <- t.write_events + 1;
   t.bytes_written <- t.bytes_written + Layout.line_bytes;
-  let w = base / Layout.word_bytes in
-  for k = 0 to Layout.words_per_line - 1 do
-    Bigarray.Array1.unsafe_set t.words (w + k) src.(src_pos + k)
-  done
+  blit_line t base ~src ~src_pos ~words:Layout.words_per_line
 
 let write_line_torn t base data ~words =
   check_line_addr base;
@@ -87,18 +127,15 @@ let write_line_torn t base data ~words =
     invalid_arg "Nvm.write_line_torn: words must be in (0, words_per_line)";
   t.write_events <- t.write_events + 1;
   t.bytes_written <- t.bytes_written + (words * Layout.word_bytes);
-  let w = base / Layout.word_bytes in
-  for k = 0 to words - 1 do
-    t.words.{w + k} <- data.(k)
-  done
+  blit_line t base ~src:data ~src_pos:0 ~words
 
 let peek_word t addr =
   check_word_addr addr;
-  t.words.{addr / Layout.word_bytes}
+  get t (addr / Layout.word_bytes)
 
 let poke_word t addr v =
   check_word_addr addr;
-  t.words.{addr / Layout.word_bytes} <- v
+  set t (addr / Layout.word_bytes) v
 
 let read_events t = t.read_events
 let write_events t = t.write_events
@@ -117,4 +154,4 @@ let image t ~lo ~hi =
   check_word_addr lo;
   check_word_addr hi;
   let w = lo / Layout.word_bytes in
-  Array.init ((hi - lo) / Layout.word_bytes) (fun k -> t.words.{w + k})
+  Array.init ((hi - lo) / Layout.word_bytes) (fun k -> get t (w + k))

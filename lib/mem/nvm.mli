@@ -12,7 +12,12 @@
 type t
 
 val create : unit -> t
-(** Fresh zeroed NVM of {!Sweep_isa.Layout.nvm_bytes}. *)
+(** Fresh zeroed NVM of {!Sweep_isa.Layout.nvm_bytes}.  Storage is
+    demand-paged: every page reads from one shared zero page until its
+    first write (including {!poke_word}) gives it its own, so creation
+    costs a small page table, not a zero-fill of the whole store.
+    Paging is invisible to callers: addresses, reads, images and
+    counters behave as for a flat store. *)
 
 val read_word : t -> int -> int
 (** [read_word t addr] with [addr] word-aligned.  Counts one read event. *)

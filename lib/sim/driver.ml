@@ -530,13 +530,17 @@ let run ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0) ?sim_budget_ns
             (* Trace sample, from the cache while [now] stays inside the
                current 100 µs hold interval.  On a recompute: [now]
                never goes backwards from 0, so [idx] is non-negative and
-               one [mod] reproduces [Trace.power]'s wraparound; the
-               refreshed edge is shrunk by a relative 1e-6 (≫ any
-               rounding error, ≪ the interval) so it can never land past
-               the true boundary. *)
+               one [mod] reproduces [Trace.power]'s wraparound;
+               [Trace.ensure] generates a lazy (jittered) trace's sample
+               before the direct read, and returns unit so nothing
+               boxes; the refreshed edge is shrunk by a relative 1e-6
+               (≫ any rounding error, ≪ the interval) so it can never
+               land past the true boundary. *)
             if s.f.now >= s.f.trace_edge then begin
               let idx = int_of_float (s.f.now *. 1.0e-9 /. tr_dt) in
-              s.f.trace_p <- Array.unsafe_get tr_samples (idx mod tr_n);
+              let k = idx mod tr_n in
+              Trace.ensure sp.trace k;
+              s.f.trace_p <- Array.unsafe_get tr_samples k;
               s.f.trace_edge <-
                 float_of_int (idx + 1) *. tr_dt *. 1.0e9 *. 0.999999
             end;

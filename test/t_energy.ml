@@ -283,78 +283,193 @@ let suite =
         test_trace_csv_rejects_nonmonotonic_time;
     ]
 
-(* ---------------- validated trace transforms (fleet jitter) ---------------- *)
+(* ---------------- trace jitter (fleet) ---------------- *)
 
 let raises_failure f =
   match f () with _ -> false | exception Failure _ -> true
 
-let test_transform_time_shift () =
+let jitter ?(shift_s = 0.0) ?(factor = 1.0) ?(drop_seed = 11)
+    ?(drop_frac = 0.0) t =
+  Trace.jitter t ~shift_s ~factor ~drop_seed ~drop_frac
+
+(* Every sample of a (possibly lazy) trace. *)
+let read_all t =
+  let s = Trace.samples t in
+  Trace.ensure t (Array.length s - 1);
+  s
+
+let test_jitter_shift () =
   let t = Trace.make ~seed:3 Trace.Rf_office in
   let s = Trace.samples t in
+  let before = Array.copy s in
   let n = Array.length s in
   let dt = Trace.sample_dt t in
-  let shifted = Trace.time_shift t (7.0 *. dt) in
-  let s' = Trace.samples shifted in
+  let s' = read_all (jitter ~shift_s:(7.0 *. dt) t) in
   Alcotest.(check bool) "rotated right by 7 steps" true
-    (Array.for_all Fun.id (Array.init n (fun i -> s'.(i) = s.((i - 7 + n) mod n))));
-  let zero = Trace.time_shift t 0.0 in
-  Alcotest.(check bool) "zero shift is identity" true
-    (Trace.samples zero = s);
-  Alcotest.(check bool) "input not mutated" true (Trace.samples t == s);
+    (Array.for_all Fun.id
+       (Array.init n (fun i -> s'.(i) = s.((i - 7 + n) mod n))));
+  Alcotest.(check bool) "zero shift is identity" true (read_all (jitter t) = s);
+  Alcotest.(check bool) "input not mutated" true
+    (Trace.samples t == s && s = before);
   Alcotest.(check bool) "negative shift rejected" true
-    (raises_failure (fun () -> Trace.time_shift t (-.dt)));
+    (raises_failure (fun () -> jitter ~shift_s:(-.dt) t));
   Alcotest.(check bool) "nan shift rejected" true
-    (raises_failure (fun () -> Trace.time_shift t Float.nan));
+    (raises_failure (fun () -> jitter ~shift_s:Float.nan t));
   Alcotest.(check bool) "infinite shift rejected" true
-    (raises_failure (fun () -> Trace.time_shift t Float.infinity))
+    (raises_failure (fun () -> jitter ~shift_s:Float.infinity t))
 
-let test_transform_scale () =
+let test_jitter_scale () =
   let t = Trace.make ~seed:3 Trace.Solar in
   let m = Trace.mean_power t in
   check (Alcotest.float 1e-12) "mean scales linearly" (m *. 1.25)
-    (Trace.mean_power (Trace.scale t 1.25));
+    (Trace.mean_power (jitter ~factor:1.25 t));
   check (Alcotest.float 0.0) "zero factor flattens" 0.0
-    (Trace.mean_power (Trace.scale t 0.0));
+    (Trace.mean_power (jitter ~factor:0.0 t));
   Alcotest.(check bool) "negative factor rejected" true
-    (raises_failure (fun () -> Trace.scale t (-0.1)));
+    (raises_failure (fun () -> jitter ~factor:(-0.1) t));
   Alcotest.(check bool) "nan factor rejected" true
-    (raises_failure (fun () -> Trace.scale t Float.nan))
+    (raises_failure (fun () -> jitter ~factor:Float.nan t))
 
-let test_transform_drop_samples () =
+let test_jitter_drop () =
   let t = Trace.make ~seed:3 Trace.Rf_home in
   let s = Trace.samples t in
-  let a = Trace.samples (Trace.drop_samples t ~seed:11 ~frac:0.3) in
-  let b = Trace.samples (Trace.drop_samples t ~seed:11 ~frac:0.3) in
-  let c = Trace.samples (Trace.drop_samples t ~seed:12 ~frac:0.3) in
+  let drop drop_seed drop_frac = read_all (jitter ~drop_seed ~drop_frac t) in
+  let a = drop 11 0.3 and b = drop 11 0.3 and c = drop 12 0.3 in
   Alcotest.(check bool) "same seed same drops" true (a = b);
   Alcotest.(check bool) "different seed different drops" true (a <> c);
   Alcotest.(check bool) "drops only zero, never alter" true
     (Array.for_all Fun.id
        (Array.init (Array.length s) (fun i -> a.(i) = 0.0 || a.(i) = s.(i))));
-  Alcotest.(check bool) "frac 0 is identity" true
-    (Trace.samples (Trace.drop_samples t ~seed:11 ~frac:0.0) = s);
+  Alcotest.(check bool) "frac 0 is identity" true (drop 11 0.0 = s);
   Alcotest.(check bool) "frac 1 zeroes everything" true
-    (Array.for_all (fun p -> p = 0.0)
-       (Trace.samples (Trace.drop_samples t ~seed:11 ~frac:1.0)));
+    (Array.for_all (fun p -> p = 0.0) (drop 11 1.0));
   Alcotest.(check bool) "frac below 0 rejected" true
-    (raises_failure (fun () -> Trace.drop_samples t ~seed:1 ~frac:(-0.01)));
+    (raises_failure (fun () -> jitter ~drop_frac:(-0.01) t));
   Alcotest.(check bool) "frac above 1 rejected" true
-    (raises_failure (fun () -> Trace.drop_samples t ~seed:1 ~frac:1.01));
+    (raises_failure (fun () -> jitter ~drop_frac:1.01 t));
   Alcotest.(check bool) "nan frac rejected" true
-    (raises_failure (fun () -> Trace.drop_samples t ~seed:1 ~frac:Float.nan))
+    (raises_failure (fun () -> jitter ~drop_frac:Float.nan t))
 
 let test_transform_tags () =
   let t = Trace.make ~seed:3 Trace.Thermal in
   Alcotest.(check bool) "fresh trace untagged" true (Trace.tag t = None);
-  let tagged = Trace.with_tag (Trace.scale t 0.9) "am900" in
+  let tagged = Trace.with_tag (jitter ~factor:0.9 t) "am900" in
   Alcotest.(check bool) "tag recorded" true (Trace.tag tagged = Some "am900")
+
+(* The eager three-pass jitter the lazy generator replaced — rotate,
+   then scale, then drop, each over the whole grid — kept as the
+   reference it must match bit for bit, with the parameters converted
+   as [Jobs.apply_jitter] converts them. *)
+let reference_jitter t ~shift_steps ~amp_permille ~drop_bp ~drop_seed =
+  let s = Trace.samples t in
+  let n = Array.length s in
+  let dt = Trace.sample_dt t in
+  let shift_s = float_of_int shift_steps *. dt in
+  let steps = int_of_float ((shift_s /. dt) +. 0.5) mod n in
+  let rotated =
+    if steps = 0 then Array.copy s
+    else Array.init n (fun i -> s.((i - steps + n) mod n))
+  in
+  let factor = float_of_int amp_permille /. 1000.0 in
+  let scaled = Array.map (fun p -> p *. factor) rotated in
+  let frac = float_of_int drop_bp /. 10_000.0 in
+  if frac = 0.0 then Array.copy scaled
+  else
+    let rng = Sweep_util.Rng.create drop_seed in
+    Array.map
+      (fun p -> if Sweep_util.Rng.float rng 1.0 < frac then 0.0 else p)
+      scaled
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* Every sample of every device-parameter corner, compared through
+   [Trace.power] with the reference.  Reads start past the 60 s wrap at
+   growing indices (0, 5000, 12345), go on in shuffled order, and end on
+   the last sample via a wrapped time, so generation is driven out of
+   order; they alternate between the trace and a tagged copy, which
+   must share one generator. *)
+let test_jitter_bit_exact () =
+  let base = Sweep_exp.Exp_common.trace_of Trace.Rf_office in
+  let n = Array.length (Trace.samples base) in
+  let dt = Trace.sample_dt base in
+  let order = Array.init n Fun.id in
+  Sweep_util.Rng.shuffle (Sweep_util.Rng.create 17) order;
+  let times =
+    Array.concat
+      [
+        [| 60.0; 600.5; 61.23456 |];
+        Array.map (fun i -> (float_of_int i +. 0.5) *. dt) order;
+        [| 119.99995 |];
+      ]
+  in
+  List.iter
+    (fun shift_steps ->
+      List.iter
+        (fun amp_permille ->
+          List.iter
+            (fun drop_bp ->
+              let expect =
+                reference_jitter base ~shift_steps ~amp_permille ~drop_bp
+                  ~drop_seed:5
+              in
+              let t =
+                Sweep_exp.Jobs.apply_jitter base ~shift_steps ~amp_permille
+                  ~drop_bp ~drop_seed:5
+              in
+              let copy = Trace.with_tag t "copy" in
+              Array.iteri
+                (fun k time ->
+                  let p = Trace.power (if k land 1 = 0 then t else copy) time in
+                  let i = int_of_float (time /. dt) mod n in
+                  if not (same_bits p expect.(i)) then
+                    Alcotest.failf "shift %d amp %d drop %d: sample %d differs"
+                      shift_steps amp_permille drop_bp i)
+                times)
+            [ 0; 300; 10_000 ])
+        [ 0; 800; 1000; 1200 ])
+    [ 0; 1; 7; 599_999; 600_000 ]
+
+(* One fresh jittered trace read by two domains at once, in index order
+   like the driver (so they race to extend it), over its whole 60 s and
+   a wrap: each domain must read what a sequential read of a second
+   copy reads. *)
+let test_jitter_shared_across_domains () =
+  let base = Sweep_exp.Exp_common.trace_of Trace.Rf_office in
+  let make () =
+    Sweep_exp.Jobs.apply_jitter base ~shift_steps:123_457 ~amp_permille:900
+      ~drop_bp:300 ~drop_seed:5
+  in
+  let n = Array.length (Trace.samples base) in
+  let reads = n + (n / 4) in
+  let read t =
+    let s = Trace.samples t in
+    Array.init reads (fun idx ->
+        let k = idx mod n in
+        Trace.ensure t k;
+        s.(k))
+  in
+  let expect = read (make ()) in
+  let shared = make () in
+  let domains = List.init 2 (fun _ -> Domain.spawn (fun () -> read shared)) in
+  List.iteri
+    (fun d dom ->
+      let got = Domain.join dom in
+      Array.iteri
+        (fun i p ->
+          if not (same_bits p expect.(i)) then
+            Alcotest.failf "domain %d: read %d differs" d i)
+        got)
+    domains
 
 let suite =
   suite
   @ [
-      Alcotest.test_case "transform time_shift" `Quick test_transform_time_shift;
-      Alcotest.test_case "transform scale" `Quick test_transform_scale;
-      Alcotest.test_case "transform drop_samples" `Quick
-        test_transform_drop_samples;
+      Alcotest.test_case "jitter shift" `Quick test_jitter_shift;
+      Alcotest.test_case "jitter scale" `Quick test_jitter_scale;
+      Alcotest.test_case "jitter drop" `Quick test_jitter_drop;
       Alcotest.test_case "transform tags" `Quick test_transform_tags;
+      Alcotest.test_case "jitter bit-exact vs eager" `Quick
+        test_jitter_bit_exact;
+      Alcotest.test_case "jitter shared across domains" `Quick
+        test_jitter_shared_across_domains;
     ]

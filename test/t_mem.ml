@@ -175,6 +175,195 @@ let prop_cache_find_returns_installed =
           || Cache.read_word c li (id * 64) = stamp)
         last true)
 
+(* ---- paged NVM against a flat model ---- *)
+
+(* Nvm pages hold 4096 words (16 KiB of address space); addresses are
+   drawn mostly at their edges, on the checkpoint line and on the last
+   line of NVM, where a paging slip would show. *)
+let page_bytes = 4096 * Layout.word_bytes
+let last_line = Layout.nvm_bytes - Layout.line_bytes
+
+type nvm_op =
+  | Write_word of int * int
+  | Poke_word of int * int
+  | Write_line of int * int array
+  | Write_line_from of int * int array * int
+  | Write_line_torn of int * int array * int
+  | Read_word of int
+  | Read_line_into of int
+  | Peek_word of int
+  | Image of int * int
+  | Bad of int  (* an unaligned or out-of-range address, for every call *)
+
+let print_nvm_op = function
+  | Write_word (a, v) -> Printf.sprintf "write_word %#x %d" a v
+  | Poke_word (a, v) -> Printf.sprintf "poke_word %#x %d" a v
+  | Write_line (b, _) -> Printf.sprintf "write_line %#x" b
+  | Write_line_from (b, _, pos) ->
+    Printf.sprintf "write_line_from %#x ~src_pos:%d" b pos
+  | Write_line_torn (b, _, w) ->
+    Printf.sprintf "write_line_torn %#x ~words:%d" b w
+  | Read_word a -> Printf.sprintf "read_word %#x" a
+  | Read_line_into b -> Printf.sprintf "read_line_into %#x" b
+  | Peek_word a -> Printf.sprintf "peek_word %#x" a
+  | Image (lo, hi) -> Printf.sprintf "image %#x %#x" lo hi
+  | Bad a -> Printf.sprintf "bad %#x" a
+
+let gen_nvm_ops =
+  let open QCheck2.Gen in
+  let line =
+    frequency
+      [
+        ( 4,
+          let+ p = int_range 1 (Layout.nvm_bytes / page_bytes - 1)
+          and+ before = bool in
+          (p * page_bytes) - if before then Layout.line_bytes else 0 );
+        (1, return 0);
+        (2, return Layout.default_ckpt_base);
+        (2, return last_line);
+        ( 1,
+          map (fun l -> l * Layout.line_bytes)
+            (int_bound ((Layout.nvm_bytes / Layout.line_bytes) - 1)) );
+      ]
+  in
+  let word =
+    let+ b = line and+ k = int_bound (Layout.words_per_line - 1) in
+    b + (k * Layout.word_bytes)
+  in
+  let data = array_size (return Layout.words_per_line) int in
+  let bad =
+    oneof
+      [
+        (let+ w = word and+ off = int_range 1 (Layout.word_bytes - 1) in
+         w + off);
+        map (fun w -> -w) (int_range 1 (2 * Layout.line_bytes));
+        map
+          (fun k -> Layout.nvm_bytes + (k * Layout.word_bytes))
+          (int_bound 32);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (3, map2 (fun a v -> Write_word (a, v)) word int);
+        (2, map2 (fun a v -> Poke_word (a, v)) word int);
+        (2, map2 (fun b d -> Write_line (b, d)) line data);
+        ( 2,
+          let+ b = line
+          and+ pos = int_bound 8
+          and+ src = array_size (return (Layout.words_per_line + 8)) int in
+          Write_line_from (b, src, pos) );
+        ( 2,
+          let+ b = line
+          and+ d = data
+          and+ w = int_range 1 (Layout.words_per_line - 1) in
+          Write_line_torn (b, d, w) );
+        (3, map (fun a -> Read_word a) word);
+        (2, map (fun b -> Read_line_into b) line);
+        (2, map (fun a -> Peek_word a) word);
+        ( 2,
+          let+ lo = word and+ k = int_bound 40 in
+          let hi = lo + (k * Layout.word_bytes) in
+          Image (lo, min hi (Layout.nvm_bytes - Layout.word_bytes)) );
+        (1, map (fun a -> Bad a) bad);
+      ]
+  in
+  list_size (int_range 1 60) op
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* Replays [ops] on a fresh NVM and on a word table, checking every
+   read, image and counter as it goes. *)
+let nvm_matches_model ops =
+  let nvm = Nvm.create () in
+  let model = Hashtbl.create 64 in
+  let reads = ref 0 and writes = ref 0 and bytes = ref 0 in
+  let get a = Option.value ~default:0 (Hashtbl.find_opt model a) in
+  let put_line b src pos words =
+    for k = 0 to words - 1 do
+      Hashtbl.replace model (b + (k * Layout.word_bytes)) src.(pos + k)
+    done
+  in
+  let written n =
+    incr writes;
+    bytes := !bytes + n
+  in
+  let ok_op = function
+    | Write_word (a, v) ->
+      Nvm.write_word nvm a v;
+      Hashtbl.replace model a v;
+      written Layout.word_bytes;
+      true
+    | Poke_word (a, v) ->
+      Nvm.poke_word nvm a v;
+      Hashtbl.replace model a v;
+      true
+    | Write_line (b, d) ->
+      Nvm.write_line nvm b d;
+      put_line b d 0 Layout.words_per_line;
+      written Layout.line_bytes;
+      true
+    | Write_line_from (b, src, pos) ->
+      Nvm.write_line_from nvm b ~src ~src_pos:pos;
+      put_line b src pos Layout.words_per_line;
+      written Layout.line_bytes;
+      true
+    | Write_line_torn (b, d, w) ->
+      Nvm.write_line_torn nvm b d ~words:w;
+      put_line b d 0 w;
+      written (w * Layout.word_bytes);
+      true
+    | Read_word a ->
+      incr reads;
+      Nvm.read_word nvm a = get a
+    | Read_line_into b ->
+      incr reads;
+      let dst = Array.make (Layout.words_per_line + 2) (-1) in
+      Nvm.read_line_into nvm b ~dst ~dst_pos:1;
+      dst.(0) = -1
+      && dst.(Layout.words_per_line + 1) = -1
+      && Array.for_all Fun.id
+           (Array.init Layout.words_per_line (fun k ->
+                dst.(k + 1) = get (b + (k * Layout.word_bytes))))
+    | Peek_word a -> Nvm.peek_word nvm a = get a
+    | Image (lo, hi) ->
+      Nvm.image nvm ~lo ~hi
+      = Array.init ((hi - lo) / Layout.word_bytes) (fun k ->
+            get (lo + (k * Layout.word_bytes)))
+    | Bad a ->
+      let line = Array.make Layout.words_per_line 1 in
+      List.for_all raises_invalid
+        [
+          (fun () -> ignore (Nvm.read_word nvm a));
+          (fun () -> Nvm.write_word nvm a 1);
+          (fun () -> ignore (Nvm.peek_word nvm a));
+          (fun () -> Nvm.poke_word nvm a 1);
+          (fun () -> ignore (Nvm.read_line nvm a));
+          (fun () -> Nvm.read_line_into nvm a ~dst:line ~dst_pos:0);
+          (fun () -> Nvm.write_line nvm a line);
+          (fun () -> Nvm.write_line_from nvm a ~src:line ~src_pos:0);
+          (fun () -> Nvm.write_line_torn nvm a line ~words:1);
+          (fun () -> ignore (Nvm.image nvm ~lo:a ~hi:a));
+        ]
+  in
+  let counters_agree () =
+    Nvm.read_events nvm = !reads
+    && Nvm.write_events nvm = !writes
+    && Nvm.bytes_written nvm = !bytes
+  in
+  List.for_all (fun op -> ok_op op && counters_agree ()) ops
+  &&
+  (* The shared zero page was never written: a fresh NVM still reads 0
+     everywhere the sequence wrote. *)
+  let fresh = Nvm.create () in
+  Hashtbl.fold (fun a _ ok -> ok && Nvm.peek_word fresh a = 0) model true
+
+let prop_nvm_paged_model =
+  QCheck2.Test.make ~name:"nvm: paged store = flat model" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map print_nvm_op ops))
+    gen_nvm_ops nvm_matches_model
+
 let suite =
   [
     Alcotest.test_case "nvm read/write" `Quick test_nvm_rw;
@@ -193,4 +382,8 @@ let suite =
     Alcotest.test_case "cache counters" `Quick test_cache_counters;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_cache_set_discipline; prop_cache_find_returns_installed ]
+      [
+        prop_nvm_paged_model;
+        prop_cache_set_discipline;
+        prop_cache_find_returns_installed;
+      ]
