@@ -366,10 +366,24 @@ let main bench designs trace cap volts scale cache_size assoc buffer_entries
   | _ -> ());
   (* --verify regressions must fail the process so CI can catch them. *)
   if List.for_all fst rows then 0 else 1
-  with Sys_error msg ->
+  with
+  | Sys_error msg ->
     (* Unwritable --trace / --results-dir / --metrics-out and friends:
        one line on stderr, exit 1, no backtrace. *)
     Printf.eprintf "sweepsim: %s\n" msg;
+    1
+  (* A simulation that cannot finish — region formation rejecting the
+     program, a region outgrowing the persist buffer, a stalled run —
+     is a failed job: one line, exit 1, as for sweepexp. *)
+  | Sweepcache_core.Persist_buffer.Overflow ->
+    Printf.eprintf
+      "sweepsim: simulation failed: persist buffer overflow (regions are \
+       compiled for the default %d-store threshold, more than \
+       --buffer-entries %d holds)\n"
+      Sweep_compiler.Pipeline.default_options.store_threshold buffer_entries;
+    1
+  | Driver.Stagnation msg | Failure msg | Invalid_argument msg ->
+    Printf.eprintf "sweepsim: simulation failed: %s\n" msg;
     1
 
 let bench_arg =

@@ -38,7 +38,7 @@ let step_n t from n =
   let acc = Sweepcache.acc t in
   let now = ref from in
   for _ = 1 to n do
-    if not (Sweepcache.halted t) then begin
+    if not (Sweepcache.cpu t).Cpu.halted then begin
       acc.Sweep_machine.Exec.Acc.now <- !now;
       Sweepcache.step t;
       now := !now +. acc.Sweep_machine.Exec.Acc.ns
@@ -49,7 +49,7 @@ let step_n t from n =
 let run_to_completion t from =
   let acc = Sweepcache.acc t in
   let now = ref from in
-  while not (Sweepcache.halted t) do
+  while not (Sweepcache.cpu t).Cpu.halted do
     acc.Sweep_machine.Exec.Acc.now <- !now;
     Sweepcache.step t;
     now := !now +. acc.Sweep_machine.Exec.Acc.ns

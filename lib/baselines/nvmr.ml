@@ -147,16 +147,20 @@ let make_ops t =
   in
   let store_hit_ns = hit_ns +. rename_check_ns
   and e_store_hit = e_hit +. e_rename_check in
+  let acc = t.acc and cache = t.cache in
+  let data = cache.Cache.data in
+  (* Hit paths: one [Cache.lookup] call, then plain loads and stores
+     (DESIGN.md §7.5); a store hit dirties the line as [Cache.set_dirty]
+     does. *)
   Exec.nop_region_ops
     {
       Exec.load =
         (fun addr ->
-          let li = Cache.find t.cache addr in
-          if li <> Cache.no_line then begin
-            Cache.record_hit t.cache;
-            Cache.touch t.cache li;
-            Acc.charge t.acc ~ns:hit_ns ~joules:e_hit;
-            Cache.read_word t.cache li addr
+          let pos = Cache.lookup cache addr in
+          if pos <> Cache.no_line then begin
+            acc.Acc.ns <- acc.Acc.ns +. hit_ns;
+            acc.Acc.joules <- acc.Acc.joules +. e_hit;
+            Array.unsafe_get data pos
           end
           else begin
             Cache.record_miss t.cache;
@@ -165,13 +169,14 @@ let make_ops t =
           end);
       store =
         (fun addr value ->
-          let li = Cache.find t.cache addr in
-          if li <> Cache.no_line then begin
-            Cache.record_hit t.cache;
-            Cache.touch t.cache li;
-            Cache.write_word t.cache li addr value;
-            Cache.set_dirty t.cache li ~region:(-1);
-            Acc.charge t.acc ~ns:store_hit_ns ~joules:e_store_hit
+          let pos = Cache.lookup cache addr in
+          if pos <> Cache.no_line then begin
+            let li = pos lsr Cache.pos_line_shift in
+            Array.unsafe_set data pos value;
+            Array.unsafe_set cache.Cache.dirty li 1;
+            Array.unsafe_set cache.Cache.dirty_region li (-1);
+            acc.Acc.ns <- acc.Acc.ns +. store_hit_ns;
+            acc.Acc.joules <- acc.Acc.joules +. e_store_hit
           end
           else begin
             Cache.record_miss t.cache;
@@ -225,7 +230,6 @@ let cache t = Some t.cache
 let mstats t = t.stats
 let acc t = t.acc
 let detector t = t.detector
-let halted t = t.cpu.Cpu.halted
 
 let step t =
   if t.cfg.Cfg.reference_interp then
@@ -309,7 +313,6 @@ let packed cfg prog =
       let acc = acc
       let detector = detector
       let step = step
-      let halted = halted
       let jit_backup_cost = jit_backup_cost
       let commit_jit_backup = commit_jit_backup
       let continues_after_backup = continues_after_backup

@@ -30,16 +30,21 @@ let make_ops t =
   and e_nvm_read = e.E.e_nvm_read
   and nvm_write_ns = e.E.nvm_write_ns
   and e_nvm_write = e.E.e_nvm_write in
+  let acc = t.acc and nvm = t.nvm in
+  (* Each access is one call, into [Nvm]; the cost is charged by field
+     (a call to [Acc.charge] would not be inlined). *)
   Exec.nop_region_ops
     {
       Exec.load =
         (fun addr ->
-          Acc.charge t.acc ~ns:nvm_read_ns ~joules:e_nvm_read;
-          Nvm.read_word t.nvm addr);
+          acc.Acc.ns <- acc.Acc.ns +. nvm_read_ns;
+          acc.Acc.joules <- acc.Acc.joules +. e_nvm_read;
+          Nvm.read_word nvm addr);
       store =
         (fun addr value ->
-          Acc.charge t.acc ~ns:nvm_write_ns ~joules:e_nvm_write;
-          Nvm.write_word t.nvm addr value);
+          acc.Acc.ns <- acc.Acc.ns +. nvm_write_ns;
+          acc.Acc.joules <- acc.Acc.joules +. e_nvm_write;
+          Nvm.write_word nvm addr value);
       clwb = (fun _ -> ());
       fence = (fun () -> ());
       region_end = (fun () -> ());
@@ -76,7 +81,6 @@ let cache _ = None
 let mstats t = t.stats
 let acc t = t.acc
 let detector t = t.detector
-let halted t = t.cpu.Cpu.halted
 
 let step t =
   if t.cfg.Cfg.reference_interp then
@@ -124,7 +128,6 @@ let packed cfg prog =
       let acc = acc
       let detector = detector
       let step = step
-      let halted = halted
       let jit_backup_cost = jit_backup_cost
       let commit_jit_backup = commit_jit_backup
       let continues_after_backup = continues_after_backup

@@ -114,16 +114,22 @@ let make_ops t =
     a.Acc.joules <- a.Acc.joules +. (evict_joules +. e_nvm_read +. e_hit);
     vi
   in
+  let acc = t.acc and cache = t.cache in
+  let data = cache.Cache.data in
+  (* Hit paths: the oldest pending clwb tested in place ([sync_clock]
+     runs only once it has completed), one [Cache.lookup] call, then
+     plain loads and stores (DESIGN.md §7.5); a store hit dirties the
+     line as [Cache.set_dirty] does. *)
   {
     Exec.load =
       (fun addr ->
-        sync_clock t;
-        let li = Cache.find t.cache addr in
-        if li <> Cache.no_line then begin
-          Cache.record_hit t.cache;
-          Cache.touch t.cache li;
-          Acc.charge t.acc ~ns:hit_ns ~joules:e_hit;
-          Cache.read_word t.cache li addr
+        if t.p_count > 0 && Float.Array.get t.pend t.p_head <= acc.Acc.now
+        then sync_clock t;
+        let pos = Cache.lookup cache addr in
+        if pos <> Cache.no_line then begin
+          acc.Acc.ns <- acc.Acc.ns +. hit_ns;
+          acc.Acc.joules <- acc.Acc.joules +. e_hit;
+          Array.unsafe_get data pos
         end
         else begin
           Cache.record_miss t.cache;
@@ -132,14 +138,16 @@ let make_ops t =
         end);
     store =
       (fun addr value ->
-        sync_clock t;
-        let li = Cache.find t.cache addr in
-        if li <> Cache.no_line then begin
-          Cache.record_hit t.cache;
-          Cache.touch t.cache li;
-          Cache.write_word t.cache li addr value;
-          Cache.set_dirty t.cache li ~region:(-1);
-          Acc.charge t.acc ~ns:hit_ns ~joules:e_hit
+        if t.p_count > 0 && Float.Array.get t.pend t.p_head <= acc.Acc.now
+        then sync_clock t;
+        let pos = Cache.lookup cache addr in
+        if pos <> Cache.no_line then begin
+          let li = pos lsr Cache.pos_line_shift in
+          Array.unsafe_set data pos value;
+          Array.unsafe_set cache.Cache.dirty li 1;
+          Array.unsafe_set cache.Cache.dirty_region li (-1);
+          acc.Acc.ns <- acc.Acc.ns +. hit_ns;
+          acc.Acc.joules <- acc.Acc.joules +. e_hit
         end
         else begin
           Cache.record_miss t.cache;
@@ -248,7 +256,6 @@ let cache t = Some t.cache
 let mstats t = t.stats
 let acc t = t.acc
 let detector t = t.detector
-let halted t = t.cpu.Cpu.halted
 
 let step t =
   if t.cfg.Cfg.reference_interp then
@@ -345,7 +352,6 @@ let packed cfg prog =
       let acc = acc
       let detector = detector
       let step = step
-      let halted = halted
       let jit_backup_cost = jit_backup_cost
       let commit_jit_backup = commit_jit_backup
       let continues_after_backup = continues_after_backup

@@ -35,16 +35,19 @@ let make_ops t =
   and e_miss = e.E.e_nvm_read +. e_hit in
   let nvm_write_ns = e.E.nvm_write_ns
   and e_nvm_write = e.E.e_nvm_write in
+  let acc = t.acc and cache = t.cache in
+  let data = cache.Cache.data in
+  (* Hit paths: one [Cache.lookup] call, then plain loads and stores
+     (DESIGN.md §7.5). *)
   Exec.nop_region_ops
     {
       Exec.load =
         (fun addr ->
-          let li = Cache.find t.cache addr in
-          if li <> Cache.no_line then begin
-            Cache.record_hit t.cache;
-            Cache.touch t.cache li;
-            Acc.charge t.acc ~ns:hit_ns ~joules:e_hit;
-            Cache.read_word t.cache li addr
+          let pos = Cache.lookup cache addr in
+          if pos <> Cache.no_line then begin
+            acc.Acc.ns <- acc.Acc.ns +. hit_ns;
+            acc.Acc.joules <- acc.Acc.joules +. e_hit;
+            Array.unsafe_get data pos
           end
           else begin
             Cache.record_miss t.cache;
@@ -62,15 +65,12 @@ let make_ops t =
         (fun addr value ->
           (* Write-through, no-write-allocate: update the line if
              present, and always write NVM synchronously. *)
-          let li = Cache.find t.cache addr in
-          if li <> Cache.no_line then begin
-            Cache.record_hit t.cache;
-            Cache.touch t.cache li;
-            Cache.write_word t.cache li addr value
-          end
-          else Cache.record_miss t.cache;
+          let pos = Cache.lookup cache addr in
+          if pos <> Cache.no_line then Array.unsafe_set data pos value
+          else Cache.record_miss cache;
           Nvm.write_word t.nvm addr value;
-          Acc.charge t.acc ~ns:nvm_write_ns ~joules:e_nvm_write);
+          acc.Acc.ns <- acc.Acc.ns +. nvm_write_ns;
+          acc.Acc.joules <- acc.Acc.joules +. e_nvm_write);
       clwb = (fun _ -> ());
       fence = (fun () -> ());
       region_end = (fun () -> ());
@@ -110,7 +110,6 @@ let cache t = Some t.cache
 let mstats t = t.stats
 let acc t = t.acc
 let detector t = t.detector
-let halted t = t.cpu.Cpu.halted
 
 let step t =
   if t.cfg.Cfg.reference_interp then
@@ -157,7 +156,6 @@ let packed cfg prog =
       let acc = acc
       let detector = detector
       let step = step
-      let halted = halted
       let jit_backup_cost = jit_backup_cost
       let commit_jit_backup = commit_jit_backup
       let continues_after_backup = continues_after_backup

@@ -38,7 +38,7 @@ let is_empty t = t.count = 0
 
 let push_from t ~base ~src ~src_pos =
   if t.count >= t.capacity then begin
-    if Metrics.enabled () then Metrics.inc m_overflows;
+    if Metrics.flag.Metrics.on then Metrics.inc m_overflows;
     raise Overflow
   end;
   t.bases.(t.count) <- base;
@@ -46,7 +46,7 @@ let push_from t ~base ~src ~src_pos =
     Layout.words_per_line;
   t.count <- t.count + 1;
   if t.count > t.peak then t.peak <- t.count;
-  if Metrics.enabled () then begin
+  if Metrics.flag.Metrics.on then begin
     Metrics.inc m_pushes;
     Metrics.set_max m_peak (float_of_int t.peak)
   end
@@ -66,7 +66,7 @@ let rec scan_down bases base i =
 let search_index t base = scan_down t.bases base (t.count - 1)
 
 let search t base =
-  if Metrics.enabled () then Metrics.inc m_searches;
+  if Metrics.flag.Metrics.on then Metrics.inc m_searches;
   match search_index t base with
   | -1 -> None
   | i ->
@@ -75,7 +75,7 @@ let search t base =
         t.count - i )
 
 let search_into t base ~dst ~dst_pos =
-  if Metrics.enabled () then Metrics.inc m_searches;
+  if Metrics.flag.Metrics.on then Metrics.inc m_searches;
   match search_index t base with
   | -1 -> 0
   | i ->

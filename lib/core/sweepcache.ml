@@ -83,7 +83,6 @@ let cache t = Some t.cache
 let mstats t = t.stats
 let acc t = t.acc
 let detector t = t.detector
-let halted t = t.cpu.Cpu.halted
 
 let e t = t.cfg.Cfg.energy
 
@@ -437,17 +436,25 @@ let make_ops t =
   let e = e t in
   let hit_ns = float_of_int e.E.cache_hit_cycles *. E.cycle_ns e
   and e_hit = e.E.e_cache_access in
+  let acc = t.acc and scr = t.scr and cache = t.cache in
+  let data = cache.Cache.data in
+  (* Hit paths: [sync_clock]'s fast-path test in place (the DMA engine
+     is only advanced once a phase deadline has passed), one
+     [Cache.lookup] call, then plain loads and stores (DESIGN.md
+     §7.5). *)
   {
     Exec.load =
       (fun addr ->
-        sync_clock t;
-        let now = t.acc.Acc.now in
-        let li = Cache.find t.cache addr in
-        if li <> Cache.no_line then begin
-          Cache.record_hit t.cache;
-          Cache.touch t.cache li;
-          Acc.charge t.acc ~ns:hit_ns ~joules:e_hit;
-          Cache.read_word t.cache li addr
+        let now = acc.Acc.now in
+        if now >= scr.dma_next then begin
+          scr.clock <- now;
+          sync_at t
+        end;
+        let pos = Cache.lookup cache addr in
+        if pos <> Cache.no_line then begin
+          acc.Acc.ns <- acc.Acc.ns +. hit_ns;
+          acc.Acc.joules <- acc.Acc.joules +. e_hit;
+          Array.unsafe_get data pos
         end
         else begin
           Cache.record_miss t.cache;
@@ -465,15 +472,19 @@ let make_ops t =
         end);
     store =
       (fun addr value ->
-        sync_clock t;
-        let now = t.acc.Acc.now in
-        let li = Cache.find t.cache addr in
-        if li <> Cache.no_line then begin
-          Cache.record_hit t.cache;
+        let now = acc.Acc.now in
+        if now >= scr.dma_next then begin
+          scr.clock <- now;
+          sync_at t
+        end;
+        let pos = Cache.lookup cache addr in
+        if pos <> Cache.no_line then begin
+          let li = pos lsr Cache.pos_line_shift in
+          let seq = (Array.unsafe_get t.bufs t.active).seq in
           let waw_ns =
             if
-              Cache.dirty t.cache li
-              && Cache.dirty_region t.cache li <> (active_buf t).seq
+              Array.unsafe_get cache.Cache.dirty li = 1
+              && Array.unsafe_get cache.Cache.dirty_region li <> seq
             then begin
               (* §4.3: the line belongs to a prior region still in
                  s-phase1. *)
@@ -502,12 +513,17 @@ let make_ops t =
             end
             else 0.0
           in
-          Cache.touch t.cache li;
-          Cache.write_word t.cache li addr value;
-          mark_dirty t li;
-          let a = t.acc in
-          a.Acc.ns <- a.Acc.ns +. (waw_ns +. hit_ns);
-          a.Acc.joules <- a.Acc.joules +. e_hit
+          Array.unsafe_set data pos value;
+          (* [mark_dirty], open-coded: the stall above has cleaned any
+             prior region's line, so a dirty line is this region's. *)
+          if Array.unsafe_get cache.Cache.dirty li = 0 then begin
+            Array.unsafe_set cache.Cache.dirty li 1;
+            Array.unsafe_set cache.Cache.dirty_region li seq;
+            Wbi_table.mark t.wbi (Array.unsafe_get cache.Cache.base li)
+          end
+          else assert (Array.unsafe_get cache.Cache.dirty_region li = seq);
+          acc.Acc.ns <- acc.Acc.ns +. (waw_ns +. hit_ns);
+          acc.Acc.joules <- acc.Acc.joules +. e_hit
         end
         else begin
           Cache.record_miss t.cache;
@@ -809,7 +825,6 @@ let pack instance =
       let acc = acc
       let detector = detector
       let step = step
-      let halted = halted
       let jit_backup_cost = jit_backup_cost
       let commit_jit_backup = commit_jit_backup
       let continues_after_backup = continues_after_backup

@@ -115,7 +115,11 @@ let step (cpu : Cpu.t) (dec : D.t) stats ops (acc : Acc.t) =
     let x = Array.unsafe_get dec.D.x pc in
     let y = Array.unsafe_get dec.D.y pc in
     let z = Array.unsafe_get dec.D.z pc in
-    Mstats.note_instr stats;
+    (* The Mstats counters are open-coded here and below: under the dev
+       profile's [-opaque], [Mstats.note_instr] would be a call per
+       instruction. *)
+    stats.Mstats.instructions <- stats.Mstats.instructions + 1;
+    stats.Mstats.cur_region_instrs <- stats.Mstats.cur_region_instrs + 1;
     let next = pc + 1 in
     (* Register accesses are unsafe for the same reason as the operand
        reads above: every register operand was checked against
@@ -233,20 +237,22 @@ let step (cpu : Cpu.t) (dec : D.t) stats ops (acc : Acc.t) =
     | 34 -> Array.unsafe_set regs x (Array.unsafe_get regs y); cpu.pc <- next
     (* 35 Load / 36 Load_abs *)
     | 35 ->
-      Mstats.note_load stats;
+      stats.Mstats.loads <- stats.Mstats.loads + 1;
       Array.unsafe_set regs x (ops.load (Array.unsafe_get regs y + z));
       cpu.pc <- next
     | 36 ->
-      Mstats.note_load stats;
+      stats.Mstats.loads <- stats.Mstats.loads + 1;
       Array.unsafe_set regs x (ops.load z);
       cpu.pc <- next
     (* 37 Store / 38 Store_abs *)
     | 37 ->
-      Mstats.note_store stats;
+      stats.Mstats.stores <- stats.Mstats.stores + 1;
+      stats.Mstats.cur_region_stores <- stats.Mstats.cur_region_stores + 1;
       ops.store (Array.unsafe_get regs y + z) (Array.unsafe_get regs x);
       cpu.pc <- next
     | 38 ->
-      Mstats.note_store stats;
+      stats.Mstats.stores <- stats.Mstats.stores + 1;
+      stats.Mstats.cur_region_stores <- stats.Mstats.cur_region_stores + 1;
       ops.store z (Array.unsafe_get regs x);
       cpu.pc <- next
     (* 39 Jmp / 40 Jmp_reg / 41 Call *)

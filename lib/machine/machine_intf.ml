@@ -30,9 +30,8 @@ module type S = sig
   (** The machine's per-step cost accumulator.  Write [now] before and
       read [ns]/[joules] after each {!step}; the next step overwrites
       them.  Callers hoist this once before their cycle loop — the
-      accumulator object is stable for the machine's lifetime. *)
-
-  val halted : t -> bool
+      accumulator object is stable for the machine's lifetime, as is
+      the {!cpu} record, whose [halted] field says when to stop. *)
 
   val jit_backup_cost : t -> Cost.t option
   (** [Some cost] for JIT-checkpoint designs: what a backup would cost
@@ -65,7 +64,7 @@ type packed = Packed : (module S with type t = 'a) * 'a -> packed
 let name (Packed ((module M), _)) = M.name
 let step (Packed ((module M), t)) = M.step t
 let acc (Packed ((module M), t)) = M.acc t
-let halted (Packed ((module M), t)) = M.halted t
+let halted (Packed ((module M), t)) = (M.cpu t).Cpu.halted
 let cpu (Packed ((module M), t)) = M.cpu t
 let nvm (Packed ((module M), t)) = M.nvm t
 let cache (Packed ((module M), t)) = M.cache t

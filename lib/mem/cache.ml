@@ -23,11 +23,28 @@ type t = {
   mutable misses : int;
 }
 
+(* The layout as local shift constants.  Under the dev profile's
+   [-opaque] a [Layout] value is a load from another module, so
+   [x / Layout.line_bytes] compiles to a hardware divide; a constant
+   bound in this module is an immediate, and the divide becomes a
+   shift.  Checked against [Layout] once, at start-up. *)
+let word_shift = 2
+let line_shift = 6
+let line_bytes = 1 lsl line_shift
+let pos_line_shift = line_shift - word_shift
+let line_words = 1 lsl pos_line_shift
+
+let () =
+  assert (
+    1 lsl word_shift = Layout.word_bytes
+    && line_bytes = Layout.line_bytes
+    && line_words = Layout.words_per_line)
+
 let create ~size_bytes ~assoc =
   if size_bytes <= 0 || assoc <= 0 then invalid_arg "Cache.create: sizes";
-  if size_bytes mod (assoc * Layout.line_bytes) <> 0 then
+  if size_bytes mod (assoc * line_bytes) <> 0 then
     invalid_arg "Cache.create: size not a multiple of assoc * line";
-  let set_count = size_bytes / (assoc * Layout.line_bytes) in
+  let set_count = size_bytes / (assoc * line_bytes) in
   let n = set_count * assoc in
   {
     set_count;
@@ -38,39 +55,73 @@ let create ~size_bytes ~assoc =
     dirty_region = Array.make n (-1);
     base = Array.make n 0;
     lru = Array.make n 0;
-    data = Array.make (n * Layout.words_per_line) 0;
+    data = Array.make (n * line_words) 0;
     clock = 0;
     hits = 0;
     misses = 0;
   }
 
-let size_bytes t = t.set_count * t.assoc * Layout.line_bytes
+let size_bytes t = t.set_count * t.assoc * line_bytes
 let assoc t = t.assoc
 let line_count t = t.set_count * t.assoc
 
-let set_base t addr =
-  let s = Layout.line_base addr / Layout.line_bytes in
-  (if t.set_mask >= 0 then s land t.set_mask else s mod t.set_count) * t.assoc
+(* Non-power-of-two set counts only: kept out of line so the divide
+   stays off the common path's code. *)
+let[@inline never] set_mod t s = s mod t.set_count
+
+(* [addr asr line_shift] is [Layout.line_base addr / line_bytes] for
+   every int: the line base is an exact multiple of the line size. *)
+let[@inline] set_base t addr =
+  let s = addr asr line_shift in
+  (if t.set_mask >= 0 then s land t.set_mask else set_mod t s) * t.assoc
 
 let no_line = -1
 
-(* Top-level recursion: a local [let rec] closure would allocate on
-   every access. *)
-let rec scan_set valid bases base i last =
-  if i > last then no_line
-  else if
-    Array.unsafe_get valid i = 1 && Array.unsafe_get bases i = base
-  then i
-  else scan_set valid bases base (i + 1) last
+let[@inline] line_base addr = addr land lnot (line_bytes - 1)
 
-let find t addr =
-  let base = Layout.line_base addr in
+(* The way of [addr]'s set holding its line, or [no_line].  A loop,
+   inlined into both callers: the hit path makes no call of its own. *)
+let[@inline] scan t addr =
   let s = set_base t addr in
-  scan_set t.valid t.base base s (s + t.assoc - 1)
+  let base = line_base addr in
+  let last = s + t.assoc - 1 in
+  let li = ref s in
+  while
+    !li <= last
+    && not
+         (Array.unsafe_get t.valid !li = 1
+         && Array.unsafe_get t.base !li = base)
+  do
+    incr li
+  done;
+  if !li > last then no_line else !li
+
+let find t addr = scan t addr
 
 let touch t li =
   t.clock <- t.clock + 1;
   t.lru.(li) <- t.clock
+
+module Metrics = Sweep_obs.Metrics
+
+let m_hits = Metrics.counter "cache.hits"
+let m_misses = Metrics.counter "cache.misses"
+
+(* The hit path in one call: {!find}'s scan, the hit count and the LRU
+   touch, then the word's position in [data] — everything a design's
+   load or store hit needs from the cache.  The metrics switch is a
+   field read, so with metrics off and a power-of-two set count
+   nothing here calls out. *)
+let lookup t addr =
+  let li = scan t addr in
+  if li = no_line then no_line
+  else begin
+    t.hits <- t.hits + 1;
+    if Metrics.flag.Metrics.on then Metrics.inc m_hits;
+    t.clock <- t.clock + 1;
+    Array.unsafe_set t.lru li t.clock;
+    (li lsl pos_line_shift) + ((addr asr word_shift) land (line_words - 1))
+  end
 
 let rec first_invalid valid i last =
   if i > last then no_line
@@ -103,7 +154,7 @@ let clear_dirty t li =
   t.dirty_region.(li) <- -1
 
 let data t = t.data
-let data_pos _t li = li * Layout.words_per_line
+let data_pos _t li = li lsl pos_line_shift
 
 (* Tag-only install of a fill into a victim way the caller already
    chose (its previous occupant handled, the miss scan done once).  The
@@ -113,38 +164,36 @@ let install_victim t li addr =
   t.valid.(li) <- 1;
   t.dirty.(li) <- 0;
   t.dirty_region.(li) <- -1;
-  t.base.(li) <- Layout.line_base addr;
+  t.base.(li) <- line_base addr;
   touch t li
 
 let install t addr line_data =
-  assert (Array.length line_data = Layout.words_per_line);
+  assert (Array.length line_data = line_words);
   (* Reinstalling a resident line must not create a duplicate in another
      way: reuse the existing line. *)
   let li =
     match find t addr with i when i <> no_line -> i | _ -> victim t addr
   in
   install_victim t li addr;
-  Array.blit line_data 0 t.data (li * Layout.words_per_line)
-    Layout.words_per_line;
+  Array.blit line_data 0 t.data (li lsl pos_line_shift) line_words;
   li
 
-let copy_line_data t li =
-  Array.sub t.data (li * Layout.words_per_line) Layout.words_per_line
+let copy_line_data t li = Array.sub t.data (li lsl pos_line_shift) line_words
 
-(* [word_index] sits on the load/store hot path; its bounds checks are
-   only for catching layout bugs during development, so they hide
-   behind a runtime flag (off by default, switched on by the unit
-   tests) instead of taxing every simulated access. *)
+(* [word_index] is the checked twin of {!lookup}'s position arithmetic,
+   for callers that hold a line index; its bounds checks are only for
+   catching layout bugs during development, so they hide behind a
+   runtime flag (off by default, switched on by the unit tests). *)
 let debug_checks = ref false
 let set_debug_checks b = debug_checks := b
 
 let word_index t li addr =
   let off = addr - t.base.(li) in
   if !debug_checks then begin
-    assert (off >= 0 && off < Layout.line_bytes);
-    assert (addr land (Layout.word_bytes - 1) = 0)
+    assert (off >= 0 && off < line_bytes);
+    assert (addr land ((1 lsl word_shift) - 1) = 0)
   end;
-  (li * Layout.words_per_line) + (off / Layout.word_bytes)
+  (li lsl pos_line_shift) + (off asr word_shift)
 
 let read_word t li addr = t.data.(word_index t li addr)
 let write_word t li addr v = t.data.(word_index t li addr) <- v
@@ -172,18 +221,9 @@ let clean_all t =
       t.dirty.(i) <- 0;
       t.dirty_region.(i) <- -1)
 
-module Metrics = Sweep_obs.Metrics
-
-let m_hits = Metrics.counter "cache.hits"
-let m_misses = Metrics.counter "cache.misses"
-
-let record_hit t =
-  t.hits <- t.hits + 1;
-  if Metrics.enabled () then Metrics.inc m_hits
-
 let record_miss t =
   t.misses <- t.misses + 1;
-  if Metrics.enabled () then Metrics.inc m_misses
+  if Metrics.flag.Metrics.on then Metrics.inc m_misses
 
 let hits t = t.hits
 let misses t = t.misses

@@ -15,7 +15,27 @@
     Power failure wipes the cache ({!invalidate_all}); NVSRAM restores it
     from its nonvolatile counterpart by re-installing saved lines. *)
 
-type t
+type t = private {
+  set_count : int;
+  set_mask : int;  (** [set_count - 1] for power-of-two set counts, else -1 *)
+  assoc : int;
+  valid : int array;  (** per line, 0/1 *)
+  dirty : int array;  (** per line, 0/1 *)
+  dirty_region : int array;  (** per line: region of the dirtying store, -1 clean *)
+  base : int array;  (** per line: line-aligned byte address *)
+  lru : int array;  (** per line: bigger = more recently used *)
+  data : int array;  (** [line_count * 16] words, line [li] at [li * 16] *)
+  mutable clock : int;
+  mutable hits : int;
+  mutable misses : int;
+}
+(** Exposed read-only (the arrays' contents excepted) so that a
+    design's hit path can test and set a line's state with plain loads
+    and stores: under the dev profile's [-opaque] even a one-line
+    accessor such as {!dirty} is a call.  A hit path may write a word
+    of [data] at the position {!lookup} returned, and set a line dirty
+    by writing [dirty] and [dirty_region] exactly as {!set_dirty} does;
+    everything else goes through the functions below. *)
 
 val create : size_bytes:int -> assoc:int -> t
 (** [create ~size_bytes ~assoc]; [size_bytes] must be a multiple of
@@ -31,8 +51,21 @@ val no_line : int
 
 val find : t -> int -> int
 (** [find t addr] returns the index of the line containing [addr], or
-    {!no_line} (does not touch LRU or hit counters — use
-    {!record_hit}/{!record_miss}). *)
+    {!no_line}.  Touches neither LRU state nor counters: cold paths
+    use it to inspect the cache; accesses go through {!lookup}. *)
+
+val lookup : t -> int -> int
+(** The fused hit path.  When [addr]'s line is resident, [lookup t addr]
+    counts a hit (in {!hits} and the [cache.hits] metric), marks the
+    line most recently used (as {!touch}) and returns the position of
+    [addr]'s word in {!data}; otherwise it returns {!no_line} and
+    changes nothing — the caller records the miss.  The line is
+    [pos lsr pos_line_shift].  No call, no divide: this is the only
+    cache call on a design's hit path. *)
+
+val pos_line_shift : int
+(** [pos lsr pos_line_shift] is the line index of data position [pos]
+    (log2 of the 16 words per line). *)
 
 val touch : t -> int -> unit
 (** Mark a line most-recently-used. *)
@@ -99,7 +132,6 @@ val clean_all : t -> unit
 (** Reset every dirty bit without touching data (SweepCache's post-flush
     state: "flushed data still remain in the cache", §4.2). *)
 
-val record_hit : t -> unit
 val record_miss : t -> unit
 val hits : t -> int
 val misses : t -> int

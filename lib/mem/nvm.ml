@@ -15,8 +15,26 @@ open Sweep_isa
 
 let page_shift = 12
 let page_words = 1 lsl page_shift
-let word_count = Layout.nvm_bytes / Layout.word_bytes
+
+(* The layout as local constants: under the dev profile's [-opaque] a
+   [Layout] value is a load from another module, so
+   [addr / Layout.word_bytes] would compile to a hardware divide on
+   every access.  Bound here they are immediates, and the divide is a
+   shift.  Checked against [Layout] once, at start-up. *)
+let word_shift = 2
+let word_bytes = 1 lsl word_shift
+let line_bytes = 64
+let line_words = line_bytes / word_bytes
+let nvm_bytes = 1 lsl 24
+let word_count = nvm_bytes lsr word_shift
 let page_count = word_count / page_words
+
+let () =
+  assert (
+    word_bytes = Layout.word_bytes
+    && line_bytes = Layout.line_bytes
+    && line_words = Layout.words_per_line
+    && nvm_bytes = Layout.nvm_bytes)
 
 (* Shared by every [t] in every domain; never written. *)
 let zero_page = Array.make page_words 0
@@ -36,16 +54,21 @@ let create () =
     bytes_written = 0;
   }
 
-let check_word_addr addr =
-  if addr land (Layout.word_bytes - 1) <> 0 then
-    invalid_arg (Printf.sprintf "Nvm: unaligned word address %#x" addr);
-  if addr < 0 || addr >= Layout.nvm_bytes then
-    invalid_arg (Printf.sprintf "Nvm: address %#x out of range" addr)
+let bad_word_addr addr =
+  if addr land (word_bytes - 1) <> 0 then
+    invalid_arg (Printf.sprintf "Nvm: unaligned word address %#x" addr)
+  else invalid_arg (Printf.sprintf "Nvm: address %#x out of range" addr)
+
+(* One test on the good path; the message is built off it.  Inlined
+   into the word accessors, so a checked access makes no call. *)
+let[@inline] check_word_addr addr =
+  if addr land (word_bytes - 1) <> 0 || addr < 0 || addr >= nvm_bytes then
+    bad_word_addr addr
 
 let check_line_addr base =
-  if base land (Layout.line_bytes - 1) <> 0 then
+  if base land (line_bytes - 1) <> 0 then
     invalid_arg (Printf.sprintf "Nvm: unaligned line address %#x" base);
-  if base < 0 || base + Layout.line_bytes > Layout.nvm_bytes then
+  if base < 0 || base + line_bytes > nvm_bytes then
     invalid_arg (Printf.sprintf "Nvm: line %#x out of range" base)
 
 (* After [check_word_addr]/[check_line_addr] the word index [w] is
@@ -54,7 +77,7 @@ let check_line_addr base =
    established).  A line never straddles pages: [page_words] is a
    multiple of the line length. *)
 
-let page t w = Array.unsafe_get t.pages (w lsr page_shift)
+let[@inline] page t w = Array.unsafe_get t.pages (w lsr page_shift)
 
 let own_page t w =
   let p = Array.make page_words 0 in
@@ -68,40 +91,41 @@ let[@inline] writable t w =
   let p = page t w in
   if p != zero_page then p else own_page t w
 
-let get t w = Array.unsafe_get (page t w) (w land (page_words - 1))
+let[@inline] get t w = Array.unsafe_get (page t w) (w land (page_words - 1))
 let[@inline] set t w v =
   Array.unsafe_set (writable t w) (w land (page_words - 1)) v
 
+(* The checked address is non-negative, so the shift is the divide. *)
 let read_word t addr =
   check_word_addr addr;
   t.read_events <- t.read_events + 1;
-  get t (addr / Layout.word_bytes)
+  get t (addr lsr word_shift)
 
 let write_word t addr v =
   check_word_addr addr;
   t.write_events <- t.write_events + 1;
-  t.bytes_written <- t.bytes_written + Layout.word_bytes;
-  set t (addr / Layout.word_bytes) v
+  t.bytes_written <- t.bytes_written + word_bytes;
+  set t (addr lsr word_shift) v
 
 let read_line t base =
   check_line_addr base;
   t.read_events <- t.read_events + 1;
-  let w = base / Layout.word_bytes in
+  let w = base lsr word_shift in
   let p = page t w and o = w land (page_words - 1) in
-  Array.sub p o Layout.words_per_line
+  Array.sub p o line_words
 
 let read_line_into t base ~dst ~dst_pos =
   check_line_addr base;
   t.read_events <- t.read_events + 1;
-  let w = base / Layout.word_bytes in
+  let w = base lsr word_shift in
   let p = page t w and o = w land (page_words - 1) in
-  for k = 0 to Layout.words_per_line - 1 do
+  for k = 0 to line_words - 1 do
     dst.(dst_pos + k) <- Array.unsafe_get p (o + k)
   done
 
 (* The first [words] words of a line from [src] at [src_pos]. *)
 let blit_line t base ~src ~src_pos ~words =
-  let w = base / Layout.word_bytes in
+  let w = base lsr word_shift in
   let p = writable t w and o = w land (page_words - 1) in
   for k = 0 to words - 1 do
     Array.unsafe_set p (o + k) src.(src_pos + k)
@@ -109,33 +133,33 @@ let blit_line t base ~src ~src_pos ~words =
 
 let write_line t base data =
   check_line_addr base;
-  assert (Array.length data = Layout.words_per_line);
+  assert (Array.length data = line_words);
   t.write_events <- t.write_events + 1;
-  t.bytes_written <- t.bytes_written + Layout.line_bytes;
-  blit_line t base ~src:data ~src_pos:0 ~words:Layout.words_per_line
+  t.bytes_written <- t.bytes_written + line_bytes;
+  blit_line t base ~src:data ~src_pos:0 ~words:line_words
 
 let write_line_from t base ~src ~src_pos =
   check_line_addr base;
   t.write_events <- t.write_events + 1;
-  t.bytes_written <- t.bytes_written + Layout.line_bytes;
-  blit_line t base ~src ~src_pos ~words:Layout.words_per_line
+  t.bytes_written <- t.bytes_written + line_bytes;
+  blit_line t base ~src ~src_pos ~words:line_words
 
 let write_line_torn t base data ~words =
   check_line_addr base;
-  assert (Array.length data = Layout.words_per_line);
-  if words <= 0 || words >= Layout.words_per_line then
+  assert (Array.length data = line_words);
+  if words <= 0 || words >= line_words then
     invalid_arg "Nvm.write_line_torn: words must be in (0, words_per_line)";
   t.write_events <- t.write_events + 1;
-  t.bytes_written <- t.bytes_written + (words * Layout.word_bytes);
+  t.bytes_written <- t.bytes_written + (words * word_bytes);
   blit_line t base ~src:data ~src_pos:0 ~words
 
 let peek_word t addr =
   check_word_addr addr;
-  get t (addr / Layout.word_bytes)
+  get t (addr lsr word_shift)
 
 let poke_word t addr v =
   check_word_addr addr;
-  set t (addr / Layout.word_bytes) v
+  set t (addr lsr word_shift) v
 
 let read_events t = t.read_events
 let write_events t = t.write_events
@@ -153,5 +177,5 @@ let reset_counters t =
 let image t ~lo ~hi =
   check_word_addr lo;
   check_word_addr hi;
-  let w = lo / Layout.word_bytes in
-  Array.init ((hi - lo) / Layout.word_bytes) (fun k -> get t (w + k))
+  let w = lo lsr word_shift in
+  Array.init ((hi - lo) asr word_shift) (fun k -> get t (w + k))

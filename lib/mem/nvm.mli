@@ -9,7 +9,16 @@
     word store from a cache-free NVP and a 64-byte line write-back both
     count as one event, as in the paper's NVM-write comparison. *)
 
-type t
+type t = private {
+  pages : int array array;  (** the demand-paged store; see {!create} *)
+  mutable read_events : int;
+  mutable write_events : int;
+  mutable bytes_written : int;
+}
+(** Exposed read-only so that the cycle loop's armed profiler can read
+    the event counters without a call: under the dev profile's
+    [-opaque], even {!write_events} is one.  Everything else goes
+    through the functions below. *)
 
 val create : unit -> t
 (** Fresh zeroed NVM of {!Sweep_isa.Layout.nvm_bytes}.  Storage is

@@ -9,12 +9,13 @@
    - All counters are packed parallel arrays indexed by decoded PC.
      Int counters are [int array]; time/energy counters are flat
      [float array]s, so accumulation is an unboxed load-add-store.
-   - There is no "is attribution on?" branch on the hot path.  A
-     disabled [t] has length-1 arrays and [mask = 0]; an armed one has
-     full-length arrays and [mask = -1].  The loop indexes with
-     [pc land mask], so the disabled case degenerates to harmless
-     stores into slot 0 of a one-slot buffer — same instruction
-     sequence either way, no branch, no allocation.
+   - A disabled [t] has length-1 arrays and [mask = 0]; an armed one
+     has full-length arrays and [mask = -1].  The driver tests a
+     hoisted [armed t] once per instruction and skips the per-PC cost
+     counters when it is false.  The re-execution bookkeeping below
+     runs either way, indexed with [pc land mask], so a disabled [t]
+     keeps the whole run's uncommitted count in slot 0 — what a traced
+     run's [Reexec] events report.  Neither path allocates.
    - The driver open-codes the per-instruction update against these
      public fields (a cross-module call per instruction would defeat
      inlining under the dev profile's [-opaque]); this module only

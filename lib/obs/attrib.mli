@@ -9,10 +9,12 @@
     driver should treat the arrays as read-only and go through the
     cold-path functions below.
 
-    Arming is branchless: a disabled [t] carries length-1 arrays and
-    [mask = 0], an armed one full-length arrays and [mask = -1].  The
-    hot loop always indexes with [pc land mask], so disabling costs a
-    few dead stores into slot 0 instead of a branch.
+    Arming: a disabled [t] carries length-1 arrays and [mask = 0], an
+    armed one full-length arrays and [mask = -1].  The cycle loop
+    updates the per-PC cost counters only when {!armed} (one branch
+    per instruction); its re-execution bookkeeping indexes with
+    [pc land mask] in every run, so a disabled [t] accumulates the
+    whole run's discarded work in slot 0.
 
     Re-execution is measured with an epoch/stamp/delta scheme (see the
     implementation header and DESIGN.md §9): commits bump [epoch];

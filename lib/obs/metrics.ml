@@ -22,9 +22,11 @@ type instrument = C of counter | G of gauge | H of histogram
 let lock = Mutex.create ()
 let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 
-let enabled_flag = ref false
-let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
+type flag = { mutable on : bool }
+
+let flag = { on = false }
+let set_enabled b = flag.on <- b
+let enabled () = flag.on
 
 let canonical name labels =
   match labels with

@@ -7,8 +7,8 @@
     handles created at module-initialisation time stay valid.
 
     Publishing is opt-in: hot-path instrumentation (persist-buffer
-    pushes, cache hit/miss) checks {!enabled} first, which is a single
-    branch when metrics are off. *)
+    pushes, cache hit/miss) checks {!flag} first, which is a single
+    field read and branch when metrics are off. *)
 
 type counter
 type gauge
@@ -16,6 +16,14 @@ type histogram
 
 val set_enabled : bool -> unit
 val enabled : unit -> bool
+
+type flag = private { mutable on : bool }
+
+val flag : flag
+(** The switch behind {!enabled}.  Per-access hot paths test
+    [Metrics.flag.on]: a field read, where [enabled ()] is a call that
+    the dev profile's [-opaque] never inlines.  Read-only outside this
+    module; {!set_enabled} writes it. *)
 
 val counter : ?labels:(string * string) list -> string -> counter
 val gauge : ?labels:(string * string) list -> string -> gauge

@@ -13,16 +13,18 @@ module Nvm = Sweep_mem.Nvm
 module Cache = Sweep_mem.Cache
 module Cpu = Sweep_machine.Cpu
 
-(* Per-PC attribution rides the cycle loop branchlessly: the loop
-   always indexes the counter arrays with [pc land at.mask] (-1 armed, 0
-   disabled — see {!Sweep_obs.Attrib}), so a run without a profiler
-   pays a handful of dead stores into a one-slot buffer instead of a
-   branch.  A disabled sink still tracks the since-last-commit
-   instruction count in its slot 0 (every PC aliases there), which is
-   exactly the whole-run discarded-work total — so the [Ev.Reexec]
-   counter track is live in every traced run, profiler armed or not.
-   Cacheless designs attribute against a hoisted dummy cache whose
-   miss counter never moves. *)
+(* Per-PC attribution costs the cycle loop one branch when the
+   profiler is off: the per-PC counters (count, time, energy, NVM
+   writes, misses, stalls) and the machine-counter pre-reads they need
+   sit behind a test of the hoisted [armed] flag.  The re-execution
+   bookkeeping (epoch/stamp/delta) stays unconditional and indexes with
+   [pc land at.mask] (-1 armed, 0 disabled — see {!Sweep_obs.Attrib}):
+   a disabled sink tracks the since-last-commit instruction count in
+   its slot 0 (every PC aliases there), which is exactly the whole-run
+   discarded-work total — so the [Ev.Reexec] counter track is live in
+   every traced run, profiler armed or not.  Cacheless designs
+   attribute against a hoisted dummy cache whose miss counter never
+   moves. *)
 let dummy_cache () = Cache.create ~size_bytes:64 ~assoc:1
 
 type power =
@@ -65,7 +67,8 @@ let ns_to_s ns = ns *. 1.0e-9
 (* ------------------------------------------------------------------ *)
 (* Fault-trigger bookkeeping.  [watch_fault] attaches a Sink spy for
    event triggers (sequential runs only) and keeps its detach closure;
-   [fault_to_fire] is checked once per completed instruction. *)
+   [fault_to_fire] is checked once per completed instruction of a run
+   that has a fault plan. *)
 
 type fault_watch = {
   fault : Fault.t option;
@@ -429,9 +432,16 @@ let run ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0) ?sim_budget_ns
   in
   let hb = match heartbeat with Some h -> h | None -> Hb.disabled () in
   let w = watch_fault fault in
+  let armed = Attrib.armed at and has_fault = fault <> None in
+  (* The packed machine is opened once, so an instruction costs one
+     call, [D.step], plus its memory ops' calls.  Everything else the
+     loop does per instruction is field reads and writes; its calls sit
+     on branches a step rarely takes: outages, heartbeats, trace-sample
+     refreshes, the armed profiler and fault plans (DESIGN.md §7.5). *)
+  let (M.Packed ((module D), dm)) = m in
   let o =
     Fun.protect ~finally:(fun () -> unwatch_fault w) @@ fun () ->
-    while (not (M.halted m)) && s.f.now <= budget do
+    while (not cpu.Cpu.halted) && s.f.now <= budget do
       if s.instructions >= max_instructions then
         raise (Stagnation "instruction guard exceeded without Halt");
       (* The voltage state machine, harvested power only: [stopped] when
@@ -466,43 +476,46 @@ let run ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0) ?sim_budget_ns
           else false
       in
       if not stopped then begin
-        (* Attribution pre-reads: the PC about to execute and the
-           monotonic machine counters whose per-step deltas get charged
-           to it.  All int reads except the stall total, which stays
-           unboxed in a register (cmmgen unboxes float lets whose uses
-           are float ops — same discipline as the loop totals). *)
         let pc = cpu.Cpu.pc in
-        let w0 = Nvm.write_events nvm in
-        let mi0 = Cache.misses acache in
-        let st0 =
-          mst.Mstats.f.Mstats.wait_ns +. mst.Mstats.f.Mstats.waw_stall_ns
-        in
         let rg0 = mst.Mstats.regions in
         acc.Exec.Acc.now <- s.f.now;
-        M.step m;
+        if armed then begin
+          (* Attribution pre-reads: the monotonic machine counters whose
+             per-step deltas get charged to [pc], read by field (an
+             accessor would be a call under [-opaque]).  All int reads
+             except the stall total, which stays unboxed in a register
+             (cmmgen unboxes float lets whose uses are float ops — same
+             discipline as the loop totals). *)
+          let w0 = nvm.Nvm.write_events in
+          let mi0 = acache.Cache.misses in
+          let st0 =
+            mst.Mstats.f.Mstats.wait_ns +. mst.Mstats.f.Mstats.waw_stall_ns
+          in
+          D.step dm;
+          Array.unsafe_set at.Attrib.count pc
+            (Array.unsafe_get at.Attrib.count pc + 1);
+          Array.unsafe_set at.Attrib.ns pc
+            (Array.unsafe_get at.Attrib.ns pc +. acc.Exec.Acc.ns);
+          Array.unsafe_set at.Attrib.joules pc
+            (Array.unsafe_get at.Attrib.joules pc +. acc.Exec.Acc.joules);
+          Array.unsafe_set at.Attrib.nvm_writes pc
+            (Array.unsafe_get at.Attrib.nvm_writes pc
+            + (nvm.Nvm.write_events - w0));
+          Array.unsafe_set at.Attrib.cache_misses pc
+            (Array.unsafe_get at.Attrib.cache_misses pc
+            + (acache.Cache.misses - mi0));
+          Array.unsafe_set at.Attrib.stall_ns pc
+            (Array.unsafe_get at.Attrib.stall_ns pc
+            +. (mst.Mstats.f.Mstats.wait_ns
+               +. mst.Mstats.f.Mstats.waw_stall_ns -. st0))
+        end
+        else D.step dm;
         let step_ns = acc.Exec.Acc.ns and step_joules = acc.Exec.Acc.joules in
-        (* Unconditional attribution stores ([i] = 0 when disabled): int
-           adds, unboxed float adds, and the epoch/stamp/delta
-           re-execution bookkeeping.  The epoch bump uses the step's
-           region-count delta, so a retiring region boundary commits its
-           own instruction. *)
+        (* Re-execution bookkeeping, armed or not ([i] = 0 when
+           disabled).  The epoch bump uses the step's region-count
+           delta, so a retiring region boundary commits its own
+           instruction. *)
         let i = pc land at.Attrib.mask in
-        Array.unsafe_set at.Attrib.count i
-          (Array.unsafe_get at.Attrib.count i + 1);
-        Array.unsafe_set at.Attrib.ns i
-          (Array.unsafe_get at.Attrib.ns i +. step_ns);
-        Array.unsafe_set at.Attrib.joules i
-          (Array.unsafe_get at.Attrib.joules i +. step_joules);
-        Array.unsafe_set at.Attrib.nvm_writes i
-          (Array.unsafe_get at.Attrib.nvm_writes i
-          + (Nvm.write_events nvm - w0));
-        Array.unsafe_set at.Attrib.cache_misses i
-          (Array.unsafe_get at.Attrib.cache_misses i
-          + (Cache.misses acache - mi0));
-        Array.unsafe_set at.Attrib.stall_ns i
-          (Array.unsafe_get at.Attrib.stall_ns i
-          +. (mst.Mstats.f.Mstats.wait_ns
-             +. mst.Mstats.f.Mstats.waw_stall_ns -. st0));
         if Array.unsafe_get at.Attrib.stamp i = at.Attrib.epoch then
           Array.unsafe_set at.Attrib.delta i
             (Array.unsafe_get at.Attrib.delta i + 1)
@@ -567,15 +580,16 @@ let run ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0) ?sim_budget_ns
           Sink.emit ~ns:s.f.now
             (Ev.Voltage { volts = Capacitor.voltage sp.cap })
         | Some _ | None -> ());
-        match fault_to_fire w ~instructions:s.instructions with
-        | Some f ->
-          w.fired <- true;
-          inject s f ~trigger:(Fault.trigger_kind f.Fault.trigger);
-          for _ = 1 to f.Fault.nested do inject s f ~trigger:"nested" done
-        | None -> ()
+        if has_fault then
+          match fault_to_fire w ~instructions:s.instructions with
+          | Some f ->
+            w.fired <- true;
+            inject s f ~trigger:(Fault.trigger_kind f.Fault.trigger);
+            for _ = 1 to f.Fault.nested do inject s f ~trigger:"nested" done
+          | None -> ()
       end
     done;
-    let completed = M.halted m in
+    let completed = cpu.Cpu.halted in
     (* A budget stop is graceful (the early-stop path): the machine is
        left undrained and the outcome reports partial progress with
        [completed = false]. *)

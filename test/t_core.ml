@@ -88,7 +88,7 @@ let step_n t n =
   let acc = Sweepcache.acc t in
   let consumed = ref 0.0 in
   for _ = 1 to n do
-    if not (Sweepcache.halted t) then begin
+    if not (Sweepcache.cpu t).Cpu.halted then begin
       acc.Sweep_machine.Exec.Acc.now <- !consumed;
       Sweepcache.step t;
       consumed := !consumed +. acc.Sweep_machine.Exec.Acc.ns
@@ -145,13 +145,13 @@ let test_crash_then_completion_is_consistent () =
       let acc = Sweepcache.acc t in
       let consumed = ref resume in
       let guard = ref 0 in
-      while (not (Sweepcache.halted t)) && !guard < 5_000_000 do
+      while (not (Sweepcache.cpu t).Cpu.halted) && !guard < 5_000_000 do
         acc.Sweep_machine.Exec.Acc.now <- !consumed;
         Sweepcache.step t;
         consumed := !consumed +. acc.Sweep_machine.Exec.Acc.ns;
         incr guard
       done;
-      Alcotest.(check bool) "finished" true (Sweepcache.halted t);
+      Alcotest.(check bool) "finished" true (Sweepcache.cpu t).Cpu.halted;
       ignore (Sweepcache.drain t ~now_ns:!consumed);
       let nvm = Sweepcache.nvm t in
       let actual =

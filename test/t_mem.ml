@@ -46,7 +46,36 @@ let test_nvm_alignment () =
   Alcotest.(check bool) "out of range raises" true
     (match Nvm.read_word nvm Layout.nvm_bytes with
     | _ -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true);
+  (* The word checks are one test on the good path; the message still
+     names the first rule broken, alignment before range. *)
+  let rule f =
+    match f () with
+    | () -> "none"
+    | exception Invalid_argument m ->
+      if String.starts_with ~prefix:"Nvm: unaligned word address" m then
+        "unaligned"
+      else if String.ends_with ~suffix:"out of range" m then "range"
+      else m
+  in
+  List.iter
+    (fun (addr, expected) ->
+      List.iter
+        (fun (call, f) ->
+          check Alcotest.string
+            (Printf.sprintf "%s %d" call addr)
+            expected
+            (rule (fun () -> f addr)))
+        [
+          ("read_word", fun a -> ignore (Nvm.read_word nvm a));
+          ("write_word", fun a -> Nvm.write_word nvm a 0);
+          ("peek_word", fun a -> ignore (Nvm.peek_word nvm a));
+          ("poke_word", fun a -> Nvm.poke_word nvm a 0);
+        ])
+    [
+      (0x3, "unaligned"); (-2, "unaligned"); (Layout.nvm_bytes + 1, "unaligned");
+      (-4, "range"); (Layout.nvm_bytes, "range"); (Layout.nvm_bytes - 4, "none");
+    ]
 
 let test_nvm_line_word_agree () =
   let nvm = Nvm.create () in
@@ -128,8 +157,11 @@ let test_cache_dirty_tracking () =
 
 let test_cache_counters () =
   let c = make_cache () in
-  Cache.record_hit c;
-  Cache.record_hit c;
+  ignore (Cache.install c 0x40 (Array.make 16 0));
+  ignore (Cache.lookup c 0x40);
+  ignore (Cache.lookup c 0x7C);
+  check Alcotest.int "a miss counts nothing" Cache.no_line
+    (Cache.lookup c 0x80);
   Cache.record_miss c;
   check Alcotest.int "hits" 2 (Cache.hits c);
   check Alcotest.int "misses" 1 (Cache.misses c);
@@ -174,6 +206,53 @@ let prop_cache_find_returns_installed =
           li = Cache.no_line (* may have been evicted *)
           || Cache.read_word c li (id * 64) = stamp)
         last true)
+
+(* [lookup] is the designs' fused hit path: against a twin cache driven
+   through [find]/[touch]/[read_word]/[write_word] with the same fills,
+   every lookup must agree on hit or miss, return the position of the
+   word [read_word] reads, count exactly the hits, and leave LRU state
+   (hence later victims) identical.  Geometries include a
+   non-power-of-two set count (the [mod] fallback). *)
+let prop_cache_lookup_fused =
+  QCheck2.Test.make ~name:"cache: lookup = find + hit + touch"
+    ~count:200 ~print:(fun (g, ops) ->
+      Printf.sprintf "geometry %d, %d ops" g (List.length ops))
+    QCheck2.Gen.(
+      pair (int_range 0 2)
+        (list_size (int_range 1 120)
+           (pair bool (map (fun w -> w * 4) (int_range 0 1023)))))
+    (fun (g, ops) ->
+      let size, assoc = [| (1024, 2); (768, 2); (512, 1) |].(g) in
+      let a = Cache.create ~size_bytes:size ~assoc
+      and b = Cache.create ~size_bytes:size ~assoc in
+      let fill c addr =
+        let li = Cache.victim c addr in
+        Cache.install_victim c li addr;
+        Array.fill (Cache.data c) (Cache.data_pos c li) 16 (addr / 64)
+      in
+      let hits = ref 0 in
+      List.for_all
+        (fun (write, addr) ->
+          let pos = Cache.lookup a addr and li = Cache.find b addr in
+          let agree =
+            if li = Cache.no_line then begin
+              fill a addr;
+              fill b addr;
+              pos = Cache.no_line
+            end
+            else begin
+              incr hits;
+              Cache.touch b li;
+              if write then begin
+                (Cache.data a).(pos) <- addr;
+                Cache.write_word b li addr addr
+              end;
+              pos lsr Cache.pos_line_shift = li
+              && (Cache.data a).(pos) = Cache.read_word b li addr
+            end
+          in
+          agree && Cache.hits a = !hits && a.Cache.lru = b.Cache.lru)
+        ops)
 
 (* ---- paged NVM against a flat model ---- *)
 
@@ -386,4 +465,5 @@ let suite =
         prop_nvm_paged_model;
         prop_cache_set_discipline;
         prop_cache_find_returns_installed;
+        prop_cache_lookup_fused;
       ]

@@ -242,10 +242,14 @@ let suite =
    JIT backups, deaths, NvMR's keep-running backups and the injected
    crash's JIT commit (charged under harvested power, free under
    unlimited power).  Only SweepCache emits region_end, so the other
-   designs' event-fault rows equal their fault-free ones.  When a model change is meant to move these
-   outputs, run the sim suite ([dune exec test/test_main.exe -- test
-   sim]): this test's failure prints a replacement row for every run
-   that moved. *)
+   designs' event-fault rows equal their fault-free ones.  Every run
+   is repeated with attribution disabled — the path sweepexp, sweepfleet
+   and perfbench take, where the per-PC counters are skipped — and its
+   outcome line and event stream (the [reexec] discarded counts
+   included) must equal the armed run's.  When a model change is meant
+   to move these outputs, run the sim suite ([dune exec
+   test/test_main.exe -- test sim]): this test's failure prints a
+   replacement row for every run that moved. *)
 
 let golden_table =
   [
@@ -293,7 +297,8 @@ let golden_table =
     ("SweepCache rfoffice-100nF region_end#5+2", "91d889bb7c2a30433251fee0fcc98714");
   ]
 
-let golden_digest prog (design, power, fault) =
+(* One run's outcome line, event stream and, when armed, profile. *)
+let golden_parts prog ~attrib (design, power, fault) =
   let events = Buffer.create 65536 in
   let sink =
     Sink.make (fun ~ns ev ->
@@ -301,8 +306,7 @@ let golden_digest prog (design, power, fault) =
           (Ev.json_args ev))
   in
   let r =
-    Sink.with_sink sink (fun () ->
-        H.run ~attrib:true ?fault design ~power prog)
+    Sink.with_sink sink (fun () -> H.run ~attrib ?fault design ~power prog)
   in
   let o = r.H.outcome in
   let outcome =
@@ -312,12 +316,13 @@ let golden_digest prog (design, power, fault) =
       o.Driver.backup_joules o.Driver.restore_joules o.Driver.quiescent_joules
       o.Driver.instructions o.Driver.injected_faults
   in
-  let profile =
-    Sweep_sim.Profile.to_json (Option.get (Sweep_sim.Profile.of_result r))
-  in
+  let profile = Option.map Sweep_sim.Profile.to_json (Sweep_sim.Profile.of_result r) in
+  (outcome, Buffer.contents events, profile)
+
+let golden_digest (outcome, events, profile) =
   Digest.to_hex
     (Digest.string
-       (String.concat "\n" [ outcome; profile; Buffer.contents events ]))
+       (String.concat "\n" [ outcome; Option.get profile; events ]))
 
 let test_golden_outputs () =
   let prog =
@@ -345,17 +350,40 @@ let test_golden_outputs () =
           powers)
       H.all_designs
   in
-  let moved =
-    List.filter_map
+  (* Per run: the replacement row if the armed digest moved, and what
+     differs when the same run is repeated with attribution disabled. *)
+  let checked =
+    List.map
       (fun (label, run) ->
-        let d = golden_digest prog run in
-        if List.assoc_opt label golden_table = Some d then None
-        else Some (Printf.sprintf "    (%S, %S);" label d))
+        let ((outcome, events, _) as armed) =
+          golden_parts prog ~attrib:true run
+        in
+        let d = golden_digest armed in
+        let row =
+          if List.assoc_opt label golden_table = Some d then None
+          else Some (Printf.sprintf "    (%S, %S);" label d)
+        in
+        let off_outcome, off_events, off_profile =
+          golden_parts prog ~attrib:false run
+        in
+        let divergence =
+          if off_profile <> None then Some (label ^ ": profile without attribution")
+          else if off_outcome <> outcome then Some (label ^ ": outcome")
+          else if off_events <> events then Some (label ^ ": event stream")
+          else None
+        in
+        (row, divergence))
       runs
   in
+  let moved = List.filter_map fst checked
+  and diverged = List.filter_map snd checked in
   if moved <> [] then
     Alcotest.failf "%d of %d runs moved; new rows:\n%s" (List.length moved)
-      (List.length runs) (String.concat "\n" moved)
+      (List.length runs) (String.concat "\n" moved);
+  if diverged <> [] then
+    Alcotest.failf "%d of %d runs differ with attribution disabled:\n%s"
+      (List.length diverged) (List.length runs)
+      (String.concat "\n" diverged)
 
 let suite =
   suite @ [ Alcotest.test_case "golden driver output" `Slow test_golden_outputs ]
