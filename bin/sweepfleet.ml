@@ -25,27 +25,8 @@ module Fleet = Sweep_fleet
 module A = Sweep_analyze
 module Exit_code = Sweep_exp.Exit_code
 
-let err fmt = Printf.ksprintf (fun s -> Printf.eprintf "sweepfleet: %s\n" s) fmt
-
-let report_cache rc =
-  let s = Sweep_exp.Rcache.stats rc in
-  Printf.eprintf
-    "result cache: %d hit(s), %d miss(es), %d evicted, %d corrupt\n"
-    s.Sweep_exp.Rcache.hits s.Sweep_exp.Rcache.misses
-    s.Sweep_exp.Rcache.evictions s.Sweep_exp.Rcache.corrupt
-
-let format_conv =
-  Arg.conv
-    ( (fun s ->
-        match A.Report.format_of_string (String.lowercase_ascii s) with
-        | Some f -> Ok f
-        | None -> Error (`Msg ("unknown format " ^ s))),
-      fun fmt f ->
-        Format.pp_print_string fmt
-          (match f with
-          | A.Report.Text -> "text"
-          | A.Report.Csv -> "csv"
-          | A.Report.Markdown -> "md") )
+let prog = "sweepfleet"
+let err fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s: %s\n" prog s) fmt
 
 (* ---------------- plan ---------------- *)
 
@@ -92,17 +73,8 @@ let plan spec_path device =
 
 (* ---------------- run ---------------- *)
 
-let run spec_path out_dir j kill_after chunk metrics metrics_out status_file
-    metrics_export flight_dir attrib_dir workers retries worker_timeout
-    respawn_budget supervise_seed chaos_kill_after cache_dir cache_max_bytes =
-  if j < 1 then begin
-    err "-j must be at least 1 (got %d)" j;
-    Exit_code.usage
-  end
-  else if workers < 0 then begin
-    err "--workers must be >= 0 (got %d)" workers;
-    Exit_code.usage
-  end
+let run spec_path out_dir kill_after chunk (opts : Cli.run) =
+  if not (Cli.check ~prog opts) then Exit_code.usage
   else if chunk < 1 then begin
     err "--chunk must be at least 1 (got %d)" chunk;
     Exit_code.usage
@@ -113,72 +85,17 @@ let run spec_path out_dir j kill_after chunk metrics metrics_out status_file
       err "%s" e;
       Exit_code.usage
     | Ok spec ->
-      Sweep_exp.Executor.set_workers j;
-      if metrics || Option.is_some metrics_out
-         || Option.is_some metrics_export
-      then Sweep_obs.Metrics.set_enabled true;
       (* Live telemetry threaded into every chunk's Executor.execute;
          none of it touches the journal or the fleet.json bytes.  The
          status file runs in cohort-rollup mode so its size is
          O(cohorts), not O(devices). *)
-      let status =
-        Option.map
-          (fun path ->
-            Sweep_exp.Status.create ~path
-              ~rollup:Fleet.Device.cohort_of_key ~workers:j ())
-          status_file
-      in
-      let export =
-        Option.map
-          (fun path -> Sweep_obs.Openmetrics.exporter ~path ())
-          metrics_export
-      in
-      let flight =
-        Option.map (fun dir -> Sweep_obs.Flight.arm ~dir ()) flight_dir
-      in
-      let heartbeat_every =
-        if status <> None || export <> None then
-          Sweep_obs.Heartbeat.default_every
-        else 0
-      in
-      let rcache =
-        Option.map
-          (fun dir -> Sweep_exp.Rcache.create ?max_bytes:cache_max_bytes dir)
-          cache_dir
-      in
-      let distribute =
-        if workers > 0 then
-          Some
-            (Sweep_exp.Supervisor.policy ~retries
-               ~worker_timeout_s:worker_timeout ~respawn_budget
-               ~seed:supervise_seed ?chaos_kill_after ~workers ())
-        else None
-      in
       let exec_config =
-        if status = None && export = None && flight = None
-           && heartbeat_every = 0 && attrib_dir = None && rcache = None
-           && distribute = None
-        then None
-        else
-          Some
-            (Sweep_exp.Executor.config ~heartbeat_every ?status ?flight
-               ?export ?attrib_dir ?rcache ?distribute ())
-      in
-      let dump_metrics () =
-        Option.iter Sweep_obs.Openmetrics.flush export;
-        (match metrics_out with
-        | None -> ()
-        | Some path ->
-          Sweep_obs.Metrics.write_json path (Sweep_obs.Metrics.snapshot ());
-          Printf.eprintf "metrics snapshot written to %s\n" path);
-        if metrics then
-          prerr_string
-            (Sweep_obs.Metrics.render (Sweep_obs.Metrics.snapshot ()))
+        Cli.exec_config ~rollup:Fleet.Device.cohort_of_key opts
       in
       (try
          match
-           Fleet.Runner.run ~workers:j ?exec_config ?kill_after ~chunk
-             ~dir:out_dir spec
+           Fleet.Runner.run ~workers:opts.Cli.jobs ~exec_config ?kill_after
+             ~chunk ~dir:out_dir spec
          with
          | Error e ->
            err "%s" e;
@@ -194,23 +111,12 @@ let run spec_path out_dir j kill_after chunk metrics metrics_out status_file
               written to %s\n"
              spec.Fleet.Spec.name aggregated st.Fleet.Sketch.failed_total
              o.Fleet.Runner.report_path;
-           dump_metrics ();
-           Sweep_exp.Supervisor.shutdown ();
-           Option.iter report_cache rcache;
-           let sup = Sweep_exp.Supervisor.stats () in
-           if sup.Sweep_exp.Supervisor.degraded then
-             err
-               "degraded completion — respawn budget exhausted, finished on \
-                surviving workers";
-           Exit_code.of_run ~degraded:sup.Sweep_exp.Supervisor.degraded
-             ~failures:sup.Sweep_exp.Supervisor.quarantined
+           Cli.finish ~prog opts exec_config
        with
       | Fleet.Runner.Interrupted { folded } ->
         err "interrupted after device %d; journal %s is resumable" folded
           (Fleet.Runner.journal_path out_dir);
-        dump_metrics ();
-        Sweep_exp.Supervisor.shutdown ();
-        Option.iter report_cache rcache;
+        Cli.wind_down opts exec_config;
         Exit_code.interrupted
       | Sys_error msg ->
         err "%s" msg;
@@ -225,17 +131,8 @@ let report fleet_path format out =
     err "%s" e;
     Exit_code.usage
   | Ok t ->
-    let body =
-      A.Report.render format (A.Fleet_view.report ~source:fleet_path t)
-    in
-    (match out with
-    | None -> print_string body
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc body);
-      Printf.eprintf "written to %s\n" path);
+    Cli.write_output out
+      (A.Report.render format (A.Fleet_view.report ~source:fleet_path t));
     0
 
 (* ---------------- command line ---------------- *)
@@ -256,12 +153,6 @@ let out_dir_arg =
            ~doc:"Directory for fleet.journal (the resumable checkpoint) \
                  and fleet.json (the aggregated report).")
 
-let jobs_arg =
-  Arg.(value & opt int (Domain.recommended_domain_count ())
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for device simulation (1 = sequential); \
-                 does not affect output.")
-
 let kill_after_arg =
   Arg.(value & opt (some int) None
        & info [ "kill-after" ] ~docv:"N"
@@ -275,107 +166,6 @@ let chunk_arg =
            ~doc:"Devices per executor batch / journal checkpoint \
                  (default 256); does not affect output.")
 
-let metrics_arg =
-  Arg.(value & flag
-       & info [ "metrics" ]
-           ~doc:"Enable the metrics registry (exp.*, sim.*) and dump it \
-                 to stderr after the run.")
-
-let metrics_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-out" ] ~docv:"FILE"
-           ~doc:"Enable the metrics registry and write a JSON snapshot to \
-                 FILE.")
-
-let status_file_arg =
-  Arg.(value & opt (some string) None
-       & info [ "status-file" ] ~docv:"FILE"
-           ~doc:"Maintain an atomically-updated live status snapshot at \
-                 FILE while devices execute (cohort-rollup schema: \
-                 per-cohort progress, capped running list, ETA); enables \
-                 heartbeats.")
-
-let metrics_export_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-export" ] ~docv:"FILE"
-           ~doc:"Enable the metrics registry and periodically re-export \
-                 it to FILE in OpenMetrics (Prometheus text) format; \
-                 enables heartbeats.")
-
-let flight_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "flight-dir" ] ~docv:"DIR"
-           ~doc:"Arm the crash flight recorder: every captured device \
-                 failure dumps a postmortem-*.jsonl artifact into DIR \
-                 (see $(b,sweeptrace postmortem)).")
-
-let attrib_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "attrib-dir" ] ~docv:"DIR"
-           ~doc:"Arm per-PC attribution for every simulated device job \
-                 and write DIR/<job key>.attrib.json (+ .folded).")
-
-let workers_arg =
-  Arg.(value & opt int 0
-       & info [ "workers" ] ~docv:"N"
-           ~doc:"Simulate devices in N supervised worker processes \
-                 instead of in-process domains (0 = in-process, the \
-                 default); does not affect output.")
-
-let retries_arg =
-  Arg.(value & opt int 2
-       & info [ "retries" ] ~docv:"K"
-           ~doc:"Supervised mode: re-run a device job up to K times after \
-                 a worker death before quarantining it as a failure.")
-
-let worker_timeout_arg =
-  Arg.(value & opt float 60.0
-       & info [ "worker-timeout" ] ~docv:"SECONDS"
-           ~doc:"Supervised mode: kill a worker whose heartbeat gap \
-                 exceeds SECONDS (0 disables the liveness check).")
-
-let respawn_budget_arg =
-  Arg.(value & opt int 8
-       & info [ "respawn-budget" ] ~docv:"N"
-           ~doc:"Supervised mode: total worker respawns allowed before \
-                 the fleet degrades onto the survivors (exit 2).")
-
-let supervise_seed_arg =
-  Arg.(value & opt int 42
-       & info [ "supervise-seed" ] ~docv:"N"
-           ~doc:"Seed for the deterministic respawn backoff jitter and \
-                 chaos-kill victim choice.")
-
-let chaos_kill_after_arg =
-  Arg.(value & opt (some int) None
-       & info [ "chaos-kill-after" ] ~docv:"N"
-           ~doc:"Fault injection: SIGKILL one seeded-random worker after \
-                 N device jobs have completed — the CI supervision crash \
-                 injector.")
-
-let cache_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Persistent content-addressed result cache: devices whose \
-                 job matches a cached entry are served without \
-                 re-simulation.")
-
-let cache_max_bytes_arg =
-  Arg.(value & opt (some int) None
-       & info [ "cache-max-bytes" ] ~docv:"BYTES"
-           ~doc:"Size bound for --cache-dir; least-recently-used entries \
-                 are evicted past it.")
-
-let format_arg =
-  Arg.(value & opt format_conv A.Report.Text
-       & info [ "f"; "format" ] ~docv:"FMT"
-           ~doc:"Report format: $(b,text), $(b,csv) or $(b,md).")
-
-let out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Write the report to FILE instead of stdout.")
-
 let fleet_pos =
   Arg.(required & pos 0 (some file) None
        & info [] ~docv:"FLEET" ~doc:"fleet.json written by a run.")
@@ -388,26 +178,17 @@ let run_cmd =
   let doc = "simulate the fleet and write the aggregated report" in
   Cmd.v
     (Cmd.info "run" ~doc)
-    Term.(const run $ spec_pos $ out_dir_arg $ jobs_arg $ kill_after_arg
-          $ chunk_arg $ metrics_arg $ metrics_out_arg $ status_file_arg
-          $ metrics_export_arg $ flight_dir_arg $ attrib_dir_arg
-          $ workers_arg $ retries_arg $ worker_timeout_arg
-          $ respawn_budget_arg $ supervise_seed_arg $ chaos_kill_after_arg
-          $ cache_dir_arg $ cache_max_bytes_arg)
+    Term.(const run $ spec_pos $ out_dir_arg $ kill_after_arg $ chunk_arg
+          $ Cli.run_term)
 
 let report_cmd =
   let doc = "render a fleet.json as distribution tables" in
   Cmd.v
     (Cmd.info "report" ~doc)
-    Term.(const report $ fleet_pos $ format_arg $ out_arg)
+    Term.(const report $ fleet_pos $ Cli.format_arg $ Cli.output_arg)
 
 let cmd =
   let doc = "fleet-scale simulation of jittered device populations" in
   Cmd.group (Cmd.info "sweepfleet" ~doc) [ plan_cmd; run_cmd; report_cmd ]
 
-(* Hidden worker mode: the supervisor re-execs this same binary with a
-   sentinel first argument; everything else is the cmdliner CLI. *)
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = Sweep_exp.Worker.argv_flag
-  then exit (Sweep_exp.Worker.main ())
-  else exit (Cmd.eval' cmd)
+let () = Cli.eval cmd

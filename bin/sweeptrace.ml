@@ -17,16 +17,6 @@ module A = Sweep_analyze
 
 let read_err fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n" s) fmt
 
-let write_output out body =
-  match out with
-  | None -> print_string body
-  | Some path ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc body);
-    Printf.eprintf "written to %s\n" path
-
 (* ---------------- report ---------------- *)
 
 let report trace_path metrics_path results_path format out =
@@ -35,7 +25,7 @@ let report trace_path metrics_path results_path format out =
     read_err "sweeptrace: %s" e;
     2
   | Ok r ->
-    write_output out (A.Report.render format r);
+    Cli.write_output out (A.Report.render format r);
     0
 
 let trace_pos =
@@ -53,35 +43,12 @@ let results_opt =
        & info [ "results" ] ~docv:"FILE"
            ~doc:"Results JSONL (--results-dir output) to include.")
 
-let format_opt =
-  let fmt_conv =
-    Arg.conv
-      ( (fun s ->
-          match A.Report.format_of_string (String.lowercase_ascii s) with
-          | Some f -> Ok f
-          | None -> Error (`Msg ("unknown format " ^ s))),
-        fun fmt f ->
-          Format.pp_print_string fmt
-            (match f with
-            | A.Report.Text -> "text"
-            | A.Report.Csv -> "csv"
-            | A.Report.Markdown -> "md") )
-  in
-  Arg.(value & opt fmt_conv A.Report.Text
-       & info [ "f"; "format" ] ~docv:"FMT"
-           ~doc:"Output format: $(b,text), $(b,csv) or $(b,md).")
-
-let out_opt =
-  Arg.(value & opt (some string) None
-       & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Write to FILE instead of stdout.")
-
 let report_cmd =
   let doc = "render the derived views of one JSONL trace" in
   Cmd.v
     (Cmd.info "report" ~doc)
-    Term.(const report $ trace_pos $ metrics_opt $ results_opt $ format_opt
-          $ out_opt)
+    Term.(const report $ trace_pos $ metrics_opt $ results_opt $ Cli.format_arg
+          $ Cli.output_arg)
 
 (* ---------------- diff ---------------- *)
 
@@ -112,7 +79,7 @@ let diff base cur threshold json out =
     read_err "sweeptrace: %s" e;
     2
   | Ok d ->
-    write_output out
+    Cli.write_output out
       (if json then A.Diff.render_json d ^ "\n" else A.Diff.render_text d);
     if A.Diff.has_regressions d then 1 else 0
 
@@ -135,7 +102,7 @@ let diff_cmd =
   Cmd.v
     (Cmd.info "diff" ~doc)
     Term.(const diff $ base_pos $ cur_pos $ threshold_opt $ json_flag
-          $ out_opt)
+          $ Cli.output_arg)
 
 (* ---------------- bench ---------------- *)
 
@@ -317,7 +284,7 @@ let tune frontier_path journal_path format out =
     2
   | Ok (entries, warnings) ->
     List.iter (fun w -> Printf.eprintf "warning: %s\n" w) warnings;
-    write_output out
+    Cli.write_output out
       (A.Report.render format
          (A.Tune_file.report ~journal ~source:frontier_path entries));
     0
@@ -336,7 +303,8 @@ let tune_cmd =
   let doc = "render a sweeptune frontier (and journal sensitivity)" in
   Cmd.v
     (Cmd.info "tune" ~doc)
-    Term.(const tune $ frontier_pos $ journal_opt $ format_opt $ out_opt)
+    Term.(const tune $ frontier_pos $ journal_opt $ Cli.format_arg
+          $ Cli.output_arg)
 
 (* ---------------- profile ---------------- *)
 
@@ -352,7 +320,7 @@ let profile profile_path diff_path top threshold json out =
       read_err "sweeptrace: %s" e;
       2
     | Ok p ->
-      write_output out (A.Profile_view.render_report ~top p);
+      Cli.write_output out (A.Profile_view.render_report ~top p);
       0)
   | Some cur_path -> (
     match
@@ -363,7 +331,7 @@ let profile profile_path diff_path top threshold json out =
       read_err "sweeptrace: %s" e;
       2
     | Ok d ->
-      write_output out
+      Cli.write_output out
         (if json then A.Diff.render_json d ^ "\n" else A.Diff.render_text d);
       if A.Diff.has_regressions d then 1 else 0)
 
@@ -393,7 +361,7 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile" ~doc)
     Term.(const profile $ profile_pos $ profile_diff_opt $ top_opt
-          $ threshold_opt $ json_flag $ out_opt)
+          $ threshold_opt $ json_flag $ Cli.output_arg)
 
 (* ---------------- postmortem ---------------- *)
 
@@ -403,7 +371,7 @@ let postmortem artifact_path tail format out =
     read_err "sweeptrace: %s" e;
     2
   | Ok pm ->
-    write_output out
+    Cli.write_output out
       (A.Report.render format
          (A.Flight_file.report ~tail ~source:artifact_path pm));
     0
@@ -423,7 +391,8 @@ let postmortem_cmd =
   let doc = "render a crash flight-recorder artifact" in
   Cmd.v
     (Cmd.info "postmortem" ~doc)
-    Term.(const postmortem $ artifact_pos $ tail_opt $ format_opt $ out_opt)
+    Term.(const postmortem $ artifact_pos $ tail_opt $ Cli.format_arg
+          $ Cli.output_arg)
 
 (* ---------------- lint ---------------- *)
 
@@ -504,7 +473,7 @@ let fleet fleet_path format out =
     read_err "sweeptrace: %s" e;
     2
   | Ok t ->
-    write_output out (A.Report.render format (A.Fleet_view.report ~source:fleet_path t));
+    Cli.write_output out (A.Report.render format (A.Fleet_view.report ~source:fleet_path t));
     0
 
 let fleet_pos =
@@ -516,7 +485,7 @@ let fleet_cmd =
   let doc = "render a fleet.json: population distributions, cohorts, tails" in
   Cmd.v
     (Cmd.info "fleet" ~doc)
-    Term.(const fleet $ fleet_pos $ format_opt $ out_opt)
+    Term.(const fleet $ fleet_pos $ Cli.format_arg $ Cli.output_arg)
 
 (* ---------------- entry ---------------- *)
 

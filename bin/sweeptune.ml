@@ -21,14 +21,8 @@ module Tune = Sweep_tune
 module A = Sweep_analyze
 module Exit_code = Sweep_exp.Exit_code
 
-let err fmt = Printf.ksprintf (fun s -> Printf.eprintf "sweeptune: %s\n" s) fmt
-
-let report_cache rc =
-  let s = Sweep_exp.Rcache.stats rc in
-  Printf.eprintf
-    "result cache: %d hit(s), %d miss(es), %d evicted, %d corrupt\n"
-    s.Sweep_exp.Rcache.hits s.Sweep_exp.Rcache.misses
-    s.Sweep_exp.Rcache.evictions s.Sweep_exp.Rcache.corrupt
+let prog = "sweeptune"
+let err fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s: %s\n" prog s) fmt
 
 let mkdir_p dir =
   let rec go d =
@@ -47,19 +41,6 @@ let strategy_conv =
         | None -> Error (`Msg ("unknown strategy " ^ s ^ " (grid|random|halving)"))),
       fun fmt st ->
         Format.pp_print_string fmt (Tune.Search.strategy_name st) )
-
-let format_conv =
-  Arg.conv
-    ( (fun s ->
-        match A.Report.format_of_string (String.lowercase_ascii s) with
-        | Some f -> Ok f
-        | None -> Error (`Msg ("unknown format " ^ s))),
-      fun fmt f ->
-        Format.pp_print_string fmt
-          (match f with
-          | A.Report.Text -> "text"
-          | A.Report.Csv -> "csv"
-          | A.Report.Markdown -> "md") )
 
 (* Shared search parameter flags. *)
 let budget_arg =
@@ -111,28 +92,16 @@ let render_failed = function
         (fun (p, e) -> Printf.eprintf "  %s: %s\n" (Tune.Space.id p) e)
         failed
 
-let explore budget seed strategy scale j out_dir kill_after metrics metrics_out
-    format early_stop status_file metrics_export flight_dir attrib_dir workers
-    retries worker_timeout respawn_budget supervise_seed chaos_kill_after
-    cache_dir cache_max_bytes =
-  if not (check_params budget scale) then Exit_code.usage
-  else if j < 1 then begin
-    err "-j must be at least 1 (got %d)" j;
+let explore budget seed strategy scale out_dir kill_after format early_stop
+    (opts : Cli.run) =
+  if not (check_params budget scale && Cli.check ~prog opts) then
     Exit_code.usage
-  end
-  else if workers < 0 then begin
-    err "--workers must be >= 0 (got %d)" workers;
-    Exit_code.usage
-  end
   else if (match early_stop with Some m -> m < 1.0 | None -> false) then begin
     err "--early-stop margin must be >= 1 (got %g)"
       (Option.get early_stop);
     Exit_code.usage
   end
   else begin
-    Sweep_exp.Executor.set_workers j;
-    if metrics || Option.is_some metrics_out || Option.is_some metrics_export
-    then Sweep_obs.Metrics.set_enabled true;
     let params =
       { (params_of budget seed strategy scale) with early_stop }
     in
@@ -140,61 +109,12 @@ let explore budget seed strategy scale j out_dir kill_after metrics metrics_out
     let frontier_path = Filename.concat out_dir "frontier.jsonl" in
     (* Live telemetry threaded into every chunk's Executor.execute; none
        of it touches the journal or the frontier bytes. *)
-    let status =
-      Option.map
-        (fun path -> Sweep_exp.Status.create ~path ~workers:j ())
-        status_file
-    in
-    let export =
-      Option.map
-        (fun path -> Sweep_obs.Openmetrics.exporter ~path ())
-        metrics_export
-    in
-    let flight =
-      Option.map (fun dir -> Sweep_obs.Flight.arm ~dir ()) flight_dir
-    in
-    let heartbeat_every =
-      if status <> None || export <> None then
-        Sweep_obs.Heartbeat.default_every
-      else 0
-    in
-    let rcache =
-      Option.map
-        (fun dir -> Sweep_exp.Rcache.create ?max_bytes:cache_max_bytes dir)
-        cache_dir
-    in
-    let distribute =
-      if workers > 0 then
-        Some
-          (Sweep_exp.Supervisor.policy ~retries
-             ~worker_timeout_s:worker_timeout ~respawn_budget
-             ~seed:supervise_seed ?chaos_kill_after ~workers ())
-      else None
-    in
-    let exec_config =
-      if status = None && export = None && flight = None
-         && heartbeat_every = 0 && attrib_dir = None && rcache = None
-         && distribute = None
-      then None
-      else
-        Some
-          (Sweep_exp.Executor.config ~heartbeat_every ?status ?flight ?export
-             ?attrib_dir ?rcache ?distribute ())
-    in
-    let dump_metrics () =
-      Option.iter Sweep_obs.Openmetrics.flush export;
-      (match metrics_out with
-      | None -> ()
-      | Some path ->
-          Sweep_obs.Metrics.write_json path (Sweep_obs.Metrics.snapshot ());
-          Printf.eprintf "metrics snapshot written to %s\n" path);
-      if metrics then
-        prerr_string (Sweep_obs.Metrics.render (Sweep_obs.Metrics.snapshot ()))
-    in
+    let exec_config = Cli.exec_config opts in
     try
       mkdir_p out_dir;
       match
-        Tune.Search.run ~workers:j ?kill_after ?exec_config ~journal params
+        Tune.Search.run ~workers:opts.Cli.jobs ?kill_after ~exec_config
+          ~journal params
       with
       | Error e ->
           err "%s" e;
@@ -229,26 +149,16 @@ let explore budget seed strategy scale j out_dir kill_after metrics metrics_out
                    (A.Tune_file.report ~journal:journal_cells
                       ~source:frontier_path entries));
               render_failed o.Tune.Search.failed_points;
-              dump_metrics ();
-              Sweep_exp.Supervisor.shutdown ();
-              Option.iter report_cache rcache;
-              let sup = Sweep_exp.Supervisor.stats () in
-              if sup.Sweep_exp.Supervisor.degraded then
-                err "degraded completion — respawn budget exhausted, \
-                     finished on surviving workers";
               (* Deterministically failing cells are a search outcome
                  (excluded from the frontier, exit 0, as always); only
                  jobs the supervisor quarantined after exhausting
                  worker-death retries count as job failures. *)
-              Exit_code.of_run ~degraded:sup.Sweep_exp.Supervisor.degraded
-                ~failures:sup.Sweep_exp.Supervisor.quarantined)
+              Cli.finish ~prog opts exec_config)
     with
     | Tune.Search.Interrupted { executed } ->
         err "interrupted after %d simulated cell(s); journal %s is \
              resumable" executed journal;
-        dump_metrics ();
-        Sweep_exp.Supervisor.shutdown ();
-        Option.iter report_cache rcache;
+        Cli.wind_down opts exec_config;
         Exit_code.interrupted
     | Sys_error msg ->
         err "%s" msg;
@@ -293,27 +203,12 @@ let report frontier_path journal_path format out =
       Exit_code.usage
   | Ok (entries, warnings) ->
       List.iter (fun w -> Printf.eprintf "warning: %s\n" w) warnings;
-      let body =
-        A.Report.render format
-          (A.Tune_file.report ~journal ~source:frontier_path entries)
-      in
-      (match out with
-      | None -> print_string body
-      | Some path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc body);
-          Printf.eprintf "written to %s\n" path);
+      Cli.write_output out
+        (A.Report.render format
+           (A.Tune_file.report ~journal ~source:frontier_path entries));
       0
 
 (* ---------------- command line ---------------- *)
-
-let jobs_arg =
-  Arg.(value & opt int (Domain.recommended_domain_count ())
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for cell evaluation (1 = sequential); \
-                 does not affect output.")
 
 let out_dir_arg =
   Arg.(value & opt string "tune"
@@ -328,23 +223,6 @@ let kill_after_arg =
                  cells have been simulated this run — the CI \
                  resume-equivalence crash injector.")
 
-let metrics_arg =
-  Arg.(value & flag
-       & info [ "metrics" ]
-           ~doc:"Enable the metrics registry (tune.*, exp.*, sim.*) and \
-                 dump it to stderr after the run.")
-
-let metrics_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-out" ] ~docv:"FILE"
-           ~doc:"Enable the metrics registry and write a JSON snapshot \
-                 to FILE.")
-
-let format_arg =
-  Arg.(value & opt format_conv A.Report.Text
-       & info [ "f"; "format" ] ~docv:"FMT"
-           ~doc:"Report format: $(b,text), $(b,csv) or $(b,md).")
-
 let early_stop_arg =
   Arg.(value & opt (some float) None
        & info [ "early-stop" ] ~docv:"MARGIN"
@@ -355,101 +233,13 @@ let early_stop_arg =
                  journalled state only, so the journal and frontier stay \
                  byte-identical across -j and kill/resume.")
 
-let status_file_arg =
-  Arg.(value & opt (some string) None
-       & info [ "status-file" ] ~docv:"FILE"
-           ~doc:"Maintain an atomically-updated live status snapshot at \
-                 FILE while cells execute; enables heartbeats.")
-
-let metrics_export_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-export" ] ~docv:"FILE"
-           ~doc:"Enable the metrics registry and periodically re-export \
-                 it to FILE in OpenMetrics (Prometheus text) format; \
-                 enables heartbeats.")
-
-let flight_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "flight-dir" ] ~docv:"DIR"
-           ~doc:"Arm the crash flight recorder: every captured cell \
-                 failure dumps a postmortem-*.jsonl artifact into DIR \
-                 (see $(b,sweeptrace postmortem)).")
-
-let out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Write the report to FILE instead of stdout.")
-
-let attrib_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "attrib-dir" ] ~docv:"DIR"
-           ~doc:"Arm per-PC attribution for every evaluated design point \
-                 and write DIR/<job key>.attrib.json (+ .folded) per \
-                 cell, so any frontier point can be explained with \
-                 $(b,sweeptrace profile).")
-
-let workers_arg =
-  Arg.(value & opt int 0
-       & info [ "workers" ] ~docv:"N"
-           ~doc:"Evaluate cells in N supervised worker processes instead \
-                 of in-process domains (0 = in-process, the default); \
-                 does not affect output.")
-
-let retries_arg =
-  Arg.(value & opt int 2
-       & info [ "retries" ] ~docv:"K"
-           ~doc:"Supervised mode: re-run a cell up to K times after a \
-                 worker death before quarantining it as a failure.")
-
-let worker_timeout_arg =
-  Arg.(value & opt float 60.0
-       & info [ "worker-timeout" ] ~docv:"SECONDS"
-           ~doc:"Supervised mode: kill a worker whose heartbeat gap \
-                 exceeds SECONDS (0 disables the liveness check).")
-
-let respawn_budget_arg =
-  Arg.(value & opt int 8
-       & info [ "respawn-budget" ] ~docv:"N"
-           ~doc:"Supervised mode: total worker respawns allowed before \
-                 the fleet degrades onto the survivors (exit 2).")
-
-let supervise_seed_arg =
-  Arg.(value & opt int 42
-       & info [ "supervise-seed" ] ~docv:"N"
-           ~doc:"Seed for the deterministic respawn backoff jitter and \
-                 chaos-kill victim choice.")
-
-let chaos_kill_after_arg =
-  Arg.(value & opt (some int) None
-       & info [ "chaos-kill-after" ] ~docv:"N"
-           ~doc:"Fault injection: SIGKILL one seeded-random worker after \
-                 N cells have completed — the CI supervision crash \
-                 injector.")
-
-let cache_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Persistent content-addressed result cache: cells whose \
-                 design point, workload and simulator version match a \
-                 cached entry are served without re-simulation.")
-
-let cache_max_bytes_arg =
-  Arg.(value & opt (some int) None
-       & info [ "cache-max-bytes" ] ~docv:"BYTES"
-           ~doc:"Size bound for --cache-dir; least-recently-used entries \
-                 are evicted past it.")
-
 let explore_cmd =
   let doc = "search the design space and write the Pareto frontier" in
   Cmd.v
     (Cmd.info "explore" ~doc)
     Term.(const explore $ budget_arg $ seed_arg $ strategy_arg $ scale_arg
-          $ jobs_arg $ out_dir_arg $ kill_after_arg $ metrics_arg
-          $ metrics_out_arg $ format_arg $ early_stop_arg $ status_file_arg
-          $ metrics_export_arg $ flight_dir_arg $ attrib_dir_arg
-          $ workers_arg $ retries_arg $ worker_timeout_arg
-          $ respawn_budget_arg $ supervise_seed_arg $ chaos_kill_after_arg
-          $ cache_dir_arg $ cache_max_bytes_arg)
+          $ out_dir_arg $ kill_after_arg $ Cli.format_arg $ early_stop_arg
+          $ Cli.run_term)
 
 let plan_cmd =
   let doc = "print the candidate points without running anything" in
@@ -470,15 +260,11 @@ let report_cmd =
   let doc = "render a frontier (and journal sensitivity) as a report" in
   Cmd.v
     (Cmd.info "report" ~doc)
-    Term.(const report $ frontier_pos $ journal_opt $ format_arg $ out_arg)
+    Term.(const report $ frontier_pos $ journal_opt $ Cli.format_arg
+          $ Cli.output_arg)
 
 let cmd =
   let doc = "design-space exploration over SweepCache's knobs" in
   Cmd.group (Cmd.info "sweeptune" ~doc) [ explore_cmd; plan_cmd; report_cmd ]
 
-(* Hidden worker mode: the supervisor re-execs this same binary with a
-   sentinel first argument; everything else is the cmdliner CLI. *)
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = Sweep_exp.Worker.argv_flag
-  then exit (Sweep_exp.Worker.main ())
-  else exit (Cmd.eval' cmd)
+let () = Cli.eval cmd

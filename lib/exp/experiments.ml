@@ -80,6 +80,3 @@ let run_many ?config experiments =
   List.iter render experiments
 
 let run ?config e = run_many ?config [ e ]
-
-let run_all ?config ?(include_heavy = true) () =
-  run_many ?config (List.filter (fun e -> include_heavy || not e.heavy) all)

@@ -41,6 +41,3 @@ val run : ?config:Executor.config -> t -> unit
 val run_many : ?config:Executor.config -> t list -> unit
 (** Batch-execute the union of the given experiments' jobs, then render
     each in order. *)
-
-val run_all : ?config:Executor.config -> ?include_heavy:bool -> unit -> unit
-(** Run every experiment in DESIGN.md order. *)

@@ -128,6 +128,10 @@ let read_entry t path ~key ~digest =
         | v, _, _ when v <> schema_version ->
           Error (Printf.sprintf "schema_version %d" v)
         | _, bytes, _ when bytes <= 0 -> Error "bad payload size"
+        (* Checked before allocating: a forged size must not raise or
+           allocate more than the file holds. *)
+        | _, bytes, _ when bytes > in_channel_length ic - pos_in ic ->
+          Error "truncated payload"
         | _, bytes, md5 -> (
           let payload = Bytes.create bytes in
           match really_input ic payload 0 bytes with

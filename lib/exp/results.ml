@@ -80,20 +80,6 @@ let set_current_experiment name =
 
 let current_experiment () = !current_exp
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Bump when the line layout changes; consumers should check it before
    parsing (see README "Results schema").  v2 added [schema_version] and
    the [ts] emission timestamp. *)
@@ -151,10 +137,11 @@ let json_line ?ts ~exp ~key ~design ~label ~power ~bench ~scale ~elapsed_s s =
   let o = s.outcome in
   let st = s.mstats in
   let ts = match ts with Some t -> t | None -> Unix.gettimeofday () in
+  let js = Sweep_util.Json.escape_string in
   Printf.sprintf
     "{\"schema_version\":%d,\"ts\":\"%s\",\
-     \"experiment\":\"%s\",\"key\":\"%s\",\"design\":\"%s\",\"label\":\"%s\",\
-     \"power\":\"%s\",\"bench\":\"%s\",\"scale\":%g,\
+     \"experiment\":%s,\"key\":%s,\"design\":%s,\"label\":%s,\
+     \"power\":%s,\"bench\":%s,\"scale\":%g,\
      \"completed\":%b,\"on_ns\":%.17g,\"off_ns\":%.17g,\
      \"outages\":%d,\"deaths\":%d,\"backups\":%d,\"failed_backups\":%d,\
      \"compute_joules\":%.17g,\"backup_joules\":%.17g,\
@@ -164,8 +151,7 @@ let json_line ?ts ~exp ~key ~design ~label ~power ~bench ~scale ~elapsed_s s =
      \"parallelism_eff\":%.17g,\
      \"miss_rate\":%.17g,\"nvm_writes\":%d,\"elapsed_s\":%.6f}"
     schema_version (iso8601 ts)
-    (json_escape exp) (json_escape key) (json_escape design)
-    (json_escape label) (json_escape power) (json_escape bench) scale
+    (js exp) (js key) (js design) (js label) (js power) (js bench) scale
     o.Driver.completed o.Driver.on_ns o.Driver.off_ns o.Driver.outages
     o.Driver.deaths o.Driver.backups o.Driver.failed_backups
     o.Driver.compute_joules o.Driver.backup_joules o.Driver.restore_joules

@@ -78,7 +78,7 @@ let create ~path ?(interval_s = 0.5) ?rollup ?(max_running = 16) ~workers () =
     last_write_s = neg_infinity;
   }
 
-let js = Ev.json_string
+let js = Sweep_util.Json.escape_string
 
 (* Cohort table access (lock held).  Undeclared cohorts appear on first
    use with total 0 — their queued count renders as 0 until declared. *)

@@ -10,9 +10,9 @@
    The decoder is deliberately forgiving: a line that does not parse as
    a frame yields [None] and the supervisor skips it (a worker killed
    mid-write leaves a torn final line; the fsync'd results JSONL — not
-   this pipe — is the durability surface).  The parser handles exactly
-   the flat scalar objects the encoder produces; it is not a general
-   JSON reader. *)
+   this pipe — is the durability surface).  Lines are read with
+   {!Sweep_util.Json}, which returns an error, never an exception, on
+   malformed input. *)
 
 type to_worker =
   | Init of { heartbeat_every : int; attrib_dir : string option }
@@ -58,110 +58,11 @@ let of_hex s =
   String.init (n / 2) (fun i ->
       Char.chr ((digit s.[2 * i] lsl 4) lor digit s.[(2 * i) + 1]))
 
-(* {2 Flat-object JSON parsing} *)
-
-type jv = S of string | N of float | B of bool | Null
-
-let parse_jstring s i =
-  (* s.[i] = '"'; returns (decoded, index past closing quote) *)
-  let b = Buffer.create 32 in
-  let n = String.length s in
-  let rec go i =
-    if i >= n then raise Bad
-    else
-      match s.[i] with
-      | '"' -> i + 1
-      | '\\' ->
-        if i + 1 >= n then raise Bad;
-        (match s.[i + 1] with
-        | '"' -> Buffer.add_char b '"'; go (i + 2)
-        | '\\' -> Buffer.add_char b '\\'; go (i + 2)
-        | '/' -> Buffer.add_char b '/'; go (i + 2)
-        | 'n' -> Buffer.add_char b '\n'; go (i + 2)
-        | 't' -> Buffer.add_char b '\t'; go (i + 2)
-        | 'r' -> Buffer.add_char b '\r'; go (i + 2)
-        | 'b' -> Buffer.add_char b '\b'; go (i + 2)
-        | 'f' -> Buffer.add_char b '\012'; go (i + 2)
-        | 'u' ->
-          if i + 5 >= n then raise Bad;
-          let code = int_of_string ("0x" ^ String.sub s (i + 2) 4) in
-          (* The encoder only \u-escapes control bytes (< 0x20);
-             anything wider would need UTF-8 re-encoding we never
-             produce. *)
-          if code > 0xff then raise Bad;
-          Buffer.add_char b (Char.chr code);
-          go (i + 6)
-        | _ -> raise Bad)
-      | c -> Buffer.add_char b c; go (i + 1)
-  and finish j = (Buffer.contents b, j) in
-  finish (go (i + 1))
-
-let parse_obj line =
-  let n = String.length line in
-  let rec skip_ws i =
-    if i < n && (line.[i] = ' ' || line.[i] = '\t') then skip_ws (i + 1) else i
-  in
-  let expect c i =
-    let i = skip_ws i in
-    if i < n && line.[i] = c then i + 1 else raise Bad
-  in
-  let parse_value i =
-    let i = skip_ws i in
-    if i >= n then raise Bad
-    else
-      match line.[i] with
-      | '"' ->
-        let s, j = parse_jstring line i in
-        (S s, j)
-      | 't' when i + 4 <= n && String.sub line i 4 = "true" -> (B true, i + 4)
-      | 'f' when i + 5 <= n && String.sub line i 5 = "false" ->
-        (B false, i + 5)
-      | 'n' when i + 4 <= n && String.sub line i 4 = "null" -> (Null, i + 4)
-      | '-' | '0' .. '9' ->
-        let j = ref i in
-        while
-          !j < n
-          && (match line.[!j] with
-             | '-' | '+' | '.' | 'e' | 'E' | '0' .. '9' -> true
-             | _ -> false)
-        do
-          incr j
-        done;
-        (N (float_of_string (String.sub line i (!j - i))), !j)
-      | _ -> raise Bad
-  in
-  try
-    let i = expect '{' 0 in
-    let i = skip_ws i in
-    if i < n && line.[i] = '}' then Some []
-    else
-      let rec fields acc i =
-        let i = skip_ws i in
-        if i >= n || line.[i] <> '"' then raise Bad;
-        let name, i = parse_jstring line i in
-        let i = expect ':' i in
-        let v, i = parse_value i in
-        let i = skip_ws i in
-        if i < n && line.[i] = ',' then fields ((name, v) :: acc) (i + 1)
-        else
-          let i = expect '}' i in
-          let i = skip_ws i in
-          if i <> n then raise Bad else List.rev ((name, v) :: acc)
-      in
-      Some (fields [] i)
-  with Bad | Failure _ | Invalid_argument _ -> None
-
-let str fields name =
-  match List.assoc_opt name fields with Some (S s) -> s | _ -> raise Bad
-
-let num fields name =
-  match List.assoc_opt name fields with Some (N x) -> x | _ -> raise Bad
-
-let int_f fields name = int_of_float (num fields name)
-
 (* {2 Frames} *)
 
-let js = Sweep_obs.Event.json_string
+module Json = Sweep_util.Json
+
+let js = Json.escape_string
 
 let line_of_to_worker = function
   | Init { heartbeat_every; attrib_dir } ->
@@ -193,63 +94,65 @@ let line_of_from_worker = function
       "{\"frame\":\"failed\",\"key\":%s,\"error\":%s,\"backtrace\":%s}"
       (js key) (js error) (js backtrace)
 
+(* {2 Decoding}
+
+   Every accessor returns [None] on a missing or mistyped field, so one
+   bad field drops the whole frame. *)
+
+let ( let* ) = Option.bind
+
+(* A field that may be [null] or absent: [Some None] then, [None] when
+   it holds a value of the wrong type. *)
+let nullable conv name j =
+  match Json.member name j with
+  | None | Some Json.Null -> Some None
+  | Some v -> Option.map Option.some (conv v)
+
+let unmarshal name j =
+  let* hex = Json.string_member name j in
+  try Some (Marshal.from_string (of_hex hex) 0)
+  with Bad | Failure _ | Invalid_argument _ -> None
+
+(* The frame object and its tag; [None] for a torn or malformed line. *)
+let frame line =
+  match Json.parse line with
+  | Ok (Json.Obj _ as j) ->
+    Option.map (fun tag -> (tag, j)) (Json.string_member "frame" j)
+  | _ -> None
+
 let to_worker_of_line line =
-  match parse_obj line with
-  | None -> None
-  | Some fields -> (
-    try
-      match str fields "frame" with
-      | "init" ->
-        let attrib_dir =
-          match List.assoc_opt "attrib_dir" fields with
-          | Some (S s) -> Some s
-          | Some Null | None -> None
-          | _ -> raise Bad
-        in
-        Some (Init { heartbeat_every = int_f fields "heartbeat_every"; attrib_dir })
-      | "job" ->
-        let spec = (Marshal.from_string (of_hex (str fields "spec")) 0 : Jobs.t) in
-        let sim_budget_ns =
-          match List.assoc_opt "sim_budget_ns" fields with
-          | Some (N x) -> Some x
-          | Some Null | None -> None
-          | _ -> raise Bad
-        in
-        Some (Job { key = str fields "key"; spec; sim_budget_ns })
-      | "quit" -> Some Quit
-      | _ -> None
-    with Bad | Failure _ -> None)
+  let* tag, j = frame line in
+  match tag with
+  | "init" ->
+    let* heartbeat_every = Json.int_member "heartbeat_every" j in
+    let* attrib_dir = nullable Json.to_string "attrib_dir" j in
+    Some (Init { heartbeat_every; attrib_dir })
+  | "job" ->
+    let* key = Json.string_member "key" j in
+    let* sim_budget_ns = nullable Json.to_float "sim_budget_ns" j in
+    let* spec = (unmarshal "spec" j : Jobs.t option) in
+    Some (Job { key; spec; sim_budget_ns })
+  | "quit" -> Some Quit
+  | _ -> None
 
 let from_worker_of_line line =
-  match parse_obj line with
-  | None -> None
-  | Some fields -> (
-    try
-      match str fields "frame" with
-      | "beat" ->
-        Some
-          (Beat
-             {
-               key = str fields "key";
-               instructions = int_f fields "instructions";
-               sim_ns = num fields "sim_ns";
-               reboots = int_f fields "reboots";
-               nvm_writes = int_f fields "nvm_writes";
-               beats = int_f fields "beats";
-             })
-      | "done" ->
-        let summary =
-          (Marshal.from_string (of_hex (str fields "summary")) 0
-            : Results.summary)
-        in
-        Some (Done { key = str fields "key"; elapsed_s = num fields "elapsed_s"; summary })
-      | "failed" ->
-        Some
-          (Failed
-             {
-               key = str fields "key";
-               error = str fields "error";
-               backtrace = str fields "backtrace";
-             })
-      | _ -> None
-    with Bad | Failure _ -> None)
+  let* tag, j = frame line in
+  let* key = Json.string_member "key" j in
+  match tag with
+  | "beat" ->
+    let int name = Json.int_member name j in
+    let* instructions = int "instructions" in
+    let* sim_ns = Json.float_member "sim_ns" j in
+    let* reboots = int "reboots" in
+    let* nvm_writes = int "nvm_writes" in
+    let* beats = int "beats" in
+    Some (Beat { key; instructions; sim_ns; reboots; nvm_writes; beats })
+  | "done" ->
+    let* elapsed_s = Json.float_member "elapsed_s" j in
+    let* summary = (unmarshal "summary" j : Results.summary option) in
+    Some (Done { key; elapsed_s; summary })
+  | "failed" ->
+    let* error = Json.string_member "error" j in
+    let* backtrace = Json.string_member "backtrace" j in
+    Some (Failed { key; error; backtrace })
+  | _ -> None

@@ -18,7 +18,7 @@ module Jobs = Sweep_exp.Jobs
 module Executor = Sweep_exp.Executor
 module Results = Sweep_exp.Results
 module Status = Sweep_exp.Status
-module Json = Sweep_analyze.Json
+module Json = Sweep_util.Json
 
 let journal_schema_version = 1
 let default_chunk = 256

@@ -22,6 +22,8 @@
    bin width (≤ 33% relative for the log10 metrics, exact for reboot
    counts below 511, ≤ 1 point for survival). *)
 
+module Json = Sweep_util.Json
+
 type hist = {
   edges : float array;  (* upper edge of each bin, ascending *)
   bins : int array;
@@ -273,7 +275,7 @@ let json_group b g =
   Buffer.add_char b '}'
 
 let render t =
-  let js = Sweep_obs.Event.json_string in
+  let js = Json.escape_string in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"total\":";
   json_group b t.total;
@@ -309,8 +311,6 @@ let render t =
 (* Parse back what [render] wrote — the kill/resume path.  Strict: any
    malformed field is an error, the caller falls back to a fresh
    state only when the journal line itself was torn. *)
-
-module Json = Sweep_analyze.Json
 
 let ( let* ) = Result.bind
 

@@ -99,4 +99,4 @@ val render : t -> string
 (** Canonical JSON of the full state. *)
 
 val parse : string -> (t, string) result
-val of_json : Sweep_analyze.Json.t -> (t, string) result
+val of_json : Sweep_util.Json.t -> (t, string) result

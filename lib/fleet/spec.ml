@@ -16,7 +16,7 @@
 module Trace = Sweep_energy.Power_trace
 module Config = Sweep_machine.Config
 module H = Sweep_sim.Harness
-module Json = Sweep_analyze.Json
+module Json = Sweep_util.Json
 
 let schema_version = 1
 
@@ -144,7 +144,7 @@ let validate t =
    processes and OCaml versions. *)
 let render t =
   let b = Buffer.create 512 in
-  let js = Sweep_obs.Event.json_string in
+  let js = Json.escape_string in
   Buffer.add_string b
     (Printf.sprintf
        "{\"schema_version\":%d,\"name\":%s,\"devices\":%d,\"seed\":%d,\

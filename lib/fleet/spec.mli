@@ -80,7 +80,7 @@ val digest : t -> string
 (** Hex digest of {!render} — guards the aggregation journal and the
     final report against a spec file edited mid-run. *)
 
-val of_json : Sweep_analyze.Json.t -> (t, string) result
+val of_json : Sweep_util.Json.t -> (t, string) result
 (** Parses and validates (first problem wins).  An absent [cohorts]
     array means a homogeneous fleet of {!default_arm}. *)
 

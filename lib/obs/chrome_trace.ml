@@ -15,6 +15,8 @@
    the future); viewers sort on load.  A mutex serialises writes, and
    the JSON framing is completed by [close]. *)
 
+module Json = Sweep_util.Json
+
 let sim_pid = 0
 let exec_pid = 1
 let cpu_tid = 0
@@ -42,7 +44,7 @@ let name_thread st ~pid ~tid name =
       (Printf.sprintf
          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\
           \"args\":{\"name\":%s}}"
-         pid tid (Event.json_string name))
+         pid tid (Json.escape_string name))
   end
 
 let us ns = ns /. 1000.0
@@ -57,7 +59,7 @@ let span st ~tid ~name ~cat ~start_ns ~dur_ns ev =
     (Printf.sprintf
        "{\"name\":%s,\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\
         \"pid\":%d,\"tid\":%d%s}"
-       (Event.json_string name) cat (us start_ns)
+       (Json.escape_string name) cat (us start_ns)
        (us (max 0.0 dur_ns))
        sim_pid tid (args_field ev))
 
@@ -66,7 +68,7 @@ let mark st ?(pid = sim_pid) ~tid ~ns ev =
     (Printf.sprintf
        "{\"name\":%s,\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\
         \"pid\":%d,\"tid\":%d%s}"
-       (Event.json_string (Event.name ev))
+       (Json.escape_string (Event.name ev))
        (Event.category_name (Event.category ev))
        (us ns) pid tid (args_field ev))
 
@@ -75,7 +77,7 @@ let begin_end st ~pid ~tid ~ns ~ph ev =
     (Printf.sprintf
        "{\"name\":%s,\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%.3f,\"pid\":%d,\
         \"tid\":%d%s}"
-       (Event.json_string (Event.name ev))
+       (Json.escape_string (Event.name ev))
        (Event.category_name (Event.category ev))
        ph (us ns) pid tid (args_field ev))
 
@@ -84,7 +86,7 @@ let counter st ~ns ~name ~series value =
     (Printf.sprintf
        "{\"name\":%s,\"cat\":\"power\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\
         \"args\":{\"%s\":%.4f}}"
-       (Event.json_string name) (us ns) sim_pid series value)
+       (Json.escape_string name) (us ns) sim_pid series value)
 
 let write st ~ns ev =
   if not st.closed then begin

@@ -179,21 +179,7 @@ let tag = function
   | Tune_frontier _ -> "tune_frontier"
   | Mark _ -> "mark"
 
-let json_string s =
-  let b = Buffer.create (String.length s + 8) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+let js = Sweep_util.Json.escape_string
 
 (* Event payload as JSON object fields (no surrounding braces), for the
    JSONL and Chrome "args" renderings. *)
@@ -231,34 +217,34 @@ let json_args = function
       "\"every\":%d,\"instructions\":%d,\"reboots\":%d,\"nvm_writes\":%d"
       every instructions reboots nvm_writes
   | Dropped { count } -> Printf.sprintf "\"count\":%d" count
-  | Job_start { key } -> Printf.sprintf "\"job\":%s" (json_string key)
+  | Job_start { key } -> Printf.sprintf "\"job\":%s" (js key)
   | Job_done { key; elapsed_s } ->
-    Printf.sprintf "\"job\":%s,\"elapsed_s\":%.6f" (json_string key) elapsed_s
+    Printf.sprintf "\"job\":%s,\"elapsed_s\":%.6f" (js key) elapsed_s
   | Job_failed { key; error } ->
-    Printf.sprintf "\"job\":%s,\"error\":%s" (json_string key)
-      (json_string error)
+    Printf.sprintf "\"job\":%s,\"error\":%s" (js key)
+      (js error)
   | Job_retry { key; attempt } ->
-    Printf.sprintf "\"job\":%s,\"attempt\":%d" (json_string key) attempt
-  | Cache_hit { key } -> Printf.sprintf "\"job\":%s" (json_string key)
+    Printf.sprintf "\"job\":%s,\"attempt\":%d" (js key) attempt
+  | Cache_hit { key } -> Printf.sprintf "\"job\":%s" (js key)
   | Worker_spawn { worker; pid } ->
     Printf.sprintf "\"worker\":%d,\"pid\":%d" worker pid
   | Worker_dead { worker; pid; reason } ->
     Printf.sprintf "\"worker\":%d,\"pid\":%d,\"reason\":%s" worker pid
-      (json_string reason)
+      (js reason)
   | Fault_inject { trigger; detail } ->
-    Printf.sprintf "\"trigger\":%s,\"detail\":%s" (json_string trigger)
-      (json_string detail)
+    Printf.sprintf "\"trigger\":%s,\"detail\":%s" (js trigger)
+      (js detail)
   | Fault_torn { base; words } ->
     Printf.sprintf "\"base\":%d,\"words\":%d" base words
   | Fault_stuck { bit; buf; seq } ->
     Printf.sprintf "\"bit\":%d,\"buf\":%d,\"seq\":%d" bit buf seq
   | Tune_round { strategy; round; points; benches } ->
     Printf.sprintf "\"strategy\":%s,\"round\":%d,\"points\":%d,\"benches\":%d"
-      (json_string strategy) round points benches
+      (js strategy) round points benches
   | Tune_eval { key; cached } ->
-    Printf.sprintf "\"job\":%s,\"cached\":%b" (json_string key) cached
+    Printf.sprintf "\"job\":%s,\"cached\":%b" (js key) cached
   | Tune_prune { key; budget_ns } ->
-    Printf.sprintf "\"job\":%s,\"budget_ns\":%.17g" (json_string key) budget_ns
+    Printf.sprintf "\"job\":%s,\"budget_ns\":%.17g" (js key) budget_ns
   | Tune_frontier { size; evals } ->
     Printf.sprintf "\"size\":%d,\"evals\":%d" size evals
   | Mark _ -> ""

@@ -112,9 +112,6 @@ val tag : t -> string
     …) — the ["ev"] field of every JSONL line.  Unlike {!name} it is
     unambiguous, so {!of_parts} can reconstruct the variant. *)
 
-val json_string : string -> string
-(** JSON string literal (with quotes) of [s]. *)
-
 val json_args : t -> string
 (** The payload as JSON object fields without surrounding braces
     (possibly empty). *)

@@ -4,6 +4,8 @@
    events preserved by [Ring.drain_to]), a metrics snapshot and the
    failing job's key.  Read back by [sweeptrace postmortem]. *)
 
+module Json = Sweep_util.Json
+
 type t = {
   ring : Ring.t;
   dir : string;
@@ -60,9 +62,9 @@ let dump t ~key ~error ~backtrace =
       Printf.fprintf oc
         "{\"schema_version\":%d,\"kind\":\"postmortem\",\"job\":%s,\"error\":%s,\"backtrace\":%s,\"events\":%d,\"dropped\":%d}\n"
         schema_version
-        (Event.json_string key)
-        (Event.json_string error)
-        (Event.json_string backtrace)
+        (Json.escape_string key)
+        (Json.escape_string error)
+        (Json.escape_string backtrace)
         (Ring.length t.ring) (Ring.dropped t.ring);
       let write_line ~ns ev =
         output_string oc (Jsonl_sink.render_line ~ns ev);

@@ -2,6 +2,8 @@
    a mutex and a single buffered channel, so lines from different
    domains never interleave. *)
 
+module Json = Sweep_util.Json
+
 (* The line layout readers depend on (see Sweep_analyze.Trace_reader):
    ns, then the stable constructor tag, then the display name and
    category, then the payload fields. *)
@@ -9,7 +11,7 @@ let render_line ~ns ev =
   let args = Event.json_args ev in
   Printf.sprintf "{\"ns\":%.17g,\"ev\":\"%s\",\"name\":%s,\"cat\":\"%s\"%s%s}"
     ns (Event.tag ev)
-    (Event.json_string (Event.name ev))
+    (Json.escape_string (Event.name ev))
     (Event.category_name (Event.category ev))
     (if args = "" then "" else ",")
     args

@@ -7,6 +7,8 @@
    at module-initialisation time (persist-buffer, cache) stay valid
    across test runs. *)
 
+module Json = Sweep_util.Json
+
 type counter = int Atomic.t
 type gauge = float Atomic.t
 
@@ -191,7 +193,7 @@ let render_json snap =
   List.iteri
     (fun i (name, s) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Event.json_string name);
+      Buffer.add_string b (Json.escape_string name);
       Buffer.add_char b ':';
       match s with
       | Count n ->

@@ -97,22 +97,7 @@ let make ?(design = "") ?(bench = "") ?(scale = 1.0) ?(key = "") prog
 (* %.17g keeps parse/render round-trips exact; integral floats still
    carry enough digits that a reader can't confuse them with ints. *)
 let fl = Printf.sprintf "%.17g"
-
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+let js = Sweep_util.Json.escape_string
 
 let totals_json (tt : Attrib.totals) =
   Printf.sprintf
@@ -129,7 +114,7 @@ let totals_json (tt : Attrib.totals) =
 let row_json r =
   Printf.sprintf
     "{\"pc\":%d,\"op\":%s,\"label\":%s,\"label_off\":%d,\"func\":%s,\"count\":%d,\"forward\":%d,\"reexec\":%d,\"crashes\":%d,\"ns\":%s,\"stall_ns\":%s,\"joules\":%s,\"backup_joules\":%s,\"restore_joules\":%s,\"ckpt_ns\":%s,\"nvm_writes\":%d,\"ckpt_nvm_writes\":%d,\"cache_misses\":%d}"
-    r.pc (esc r.op) (esc r.label) r.label_off (esc r.func) r.count r.forward
+    r.pc (js r.op) (js r.label) r.label_off (js r.func) r.count r.forward
     r.reexec r.crashes (fl r.ns) (fl r.stall_ns) (fl r.joules)
     (fl r.backup_joules) (fl r.restore_joules) (fl r.ckpt_ns) r.nvm_writes
     r.ckpt_nvm_writes r.cache_misses
@@ -139,7 +124,7 @@ let to_json t =
   Buffer.add_string b
     (Printf.sprintf
        "{\"schema_version\":%d,\"kind\":\"sweepcache-profile\",\"design\":%s,\"bench\":%s,\"scale\":%s,\"key\":%s,\"totals\":%s,\"rows\":[\n"
-       schema_version (esc t.design) (esc t.bench) (fl t.scale) (esc t.key)
+       schema_version (js t.design) (js t.bench) (fl t.scale) (js t.key)
        (totals_json t.totals));
   List.iteri
     (fun i r ->

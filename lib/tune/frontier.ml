@@ -1,3 +1,5 @@
+module Json = Sweep_util.Json
+
 type objectives = {
   runtime_ns : float;
   nvm_writes : float;
@@ -48,10 +50,10 @@ let entry_line e =
     "{\"schema_version\":%d,\"id\":%s,%s,\"benches\":[%s],\
      \"runtime_ns\":%.17g,\"nvm_writes\":%.17g,\"hw_bits\":%d}"
     schema_version
-    (Sweep_obs.Event.json_string (Space.id e.point))
+    (Json.escape_string (Space.id e.point))
     (Space.json_fields e.point)
     (String.concat ","
-       (List.map Sweep_obs.Event.json_string (List.sort Stdlib.compare e.benches)))
+       (List.map Json.escape_string (List.sort Stdlib.compare e.benches)))
     e.objs.runtime_ns e.objs.nvm_writes e.objs.hw_bits
 
 let write_jsonl path t =

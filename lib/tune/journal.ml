@@ -1,4 +1,4 @@
-module Json = Sweep_analyze.Json
+module Json = Sweep_util.Json
 
 type cell = {
   point : Space.point;
@@ -15,7 +15,7 @@ type cell = {
 let schema_version = 1
 
 let line c =
-  let js = Sweep_obs.Event.json_string in
+  let js = Json.escape_string in
   Printf.sprintf
     "{\"schema_version\":%d,\"key\":%s,%s,\"bench\":%s,\"scale\":%.17g,\
      \"runtime_ns\":%.17g,\"nvm_writes\":%d,\"completed\":%b,\"failed\":%b,\

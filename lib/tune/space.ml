@@ -3,7 +3,7 @@ module Config = Sweep_machine.Config
 module Pipeline = Sweep_compiler.Pipeline
 module Layout = Sweep_isa.Layout
 module Jobs = Sweep_exp.Jobs
-module Json = Sweep_analyze.Json
+module Json = Sweep_util.Json
 
 type point = {
   cache_bytes : int;
@@ -162,7 +162,7 @@ let json_fields (p : point) =
     "\"cache_bytes\":%d,\"assoc\":%d,\"buffer_entries\":%d,\"store_cap\":%d,\
      \"max_unroll\":%d,\"farads\":%.17g,\"trace\":%s"
     p.cache_bytes p.assoc p.buffer_entries p.store_cap p.max_unroll p.farads
-    (Sweep_obs.Event.json_string (Trace.kind_name p.trace))
+    (Json.escape_string (Trace.kind_name p.trace))
 
 let of_json j =
   let ( let* ) = Option.bind in

@@ -87,6 +87,6 @@ val json_fields : point -> string
 (** The point as JSON object fields (no braces) — the journal/frontier
     line fragment. *)
 
-val of_json : Sweep_analyze.Json.t -> point option
+val of_json : Sweep_util.Json.t -> point option
 (** Rebuild a point from a decoded journal/frontier object (the fields
     {!json_fields} emits). *)

@@ -1,6 +1,7 @@
-(** Minimal JSON parser for the analysis layer — just the grammar our
-    own sinks emit (JSONL trace lines, Chrome traces, metrics
-    snapshots, results lines, BENCH files).  No external dependency. *)
+(** Minimal JSON reader and writer — just the grammar our own writers
+    emit (JSONL trace lines, Chrome traces, metrics snapshots, results
+    lines, BENCH files, journals, supervisor wire frames).  The tree's
+    only JSON parser and string escaper.  No external dependency. *)
 
 type t =
   | Null

@@ -4,7 +4,7 @@
    verdicts at the threshold boundary, and the bench history file. *)
 
 module A = Sweep_analyze
-module Json = Sweep_analyze.Json
+module Json = Sweep_util.Json
 module Obs = Sweep_obs
 module Ev = Sweep_obs.Event
 module Sink = Sweep_obs.Sink

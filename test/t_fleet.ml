@@ -8,7 +8,7 @@ module Runner = Sweep_fleet.Runner
 module Jobs = Sweep_exp.Jobs
 module C = Sweep_exp.Exp_common
 module Driver = Sweep_sim.Driver
-module Json = Sweep_analyze.Json
+module Json = Sweep_util.Json
 
 let check = Alcotest.check
 

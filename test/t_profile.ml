@@ -143,7 +143,7 @@ let test_profile_view_roundtrip () =
       ~bench:job.Jobs.bench ~scale:job.Jobs.scale ~key:(Jobs.key job)
       compiled.Pipeline.program at
   in
-  match A.Json.parse (Profile.to_json p) with
+  match Sweep_util.Json.parse (Profile.to_json p) with
   | Error e -> Alcotest.fail ("profile JSON does not parse: " ^ e)
   | Ok j -> (
     match A.Profile_view.of_json j with

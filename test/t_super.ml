@@ -216,6 +216,26 @@ let test_rcache_header_garbage () =
       output_string oc "XXXX";
       close_out oc)
 
+(* A header claiming more payload than the file holds, up to [max_int],
+   is a corrupt entry: rejected before the read buffer is allocated. *)
+let test_rcache_forged_size () =
+  corrupt_test ~label:"forged payload size" ~mangle:(fun path ->
+      let ic = open_in_bin path in
+      let header = input_line ic in
+      let rest = really_input_string ic (in_channel_length ic - pos_in ic) in
+      close_in ic;
+      let forged =
+        Scanf.sscanf header
+          "{\"schema_version\":%d,\"payload_bytes\":%d,\"payload_md5\":%S}"
+          (fun v _ md5 ->
+            Printf.sprintf
+              "{\"schema_version\":%d,\"payload_bytes\":%d,\"payload_md5\":%S}"
+              v max_int md5)
+      in
+      let oc = open_out_bin path in
+      output_string oc (forged ^ "\n" ^ rest);
+      close_out oc)
+
 let test_rcache_eviction () =
   with_tmp_dir (fun dir ->
       let summary = Lazy.force the_summary in
@@ -387,6 +407,8 @@ let suite =
     Alcotest.test_case "rcache bit-flipped entry" `Quick test_rcache_bitflip;
     Alcotest.test_case "rcache garbled header" `Quick
       test_rcache_header_garbage;
+    Alcotest.test_case "rcache forged payload size" `Quick
+      test_rcache_forged_size;
     Alcotest.test_case "rcache LRU eviction" `Quick test_rcache_eviction;
     Alcotest.test_case "rcache config digest" `Quick
       test_rcache_config_digest;

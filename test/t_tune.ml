@@ -36,7 +36,7 @@ let test_space_json_roundtrip () =
   List.iter
     (fun p ->
       let line = "{" ^ Space.json_fields p ^ "}" in
-      match Result.to_option (Sweep_analyze.Json.parse line) with
+      match Result.to_option (Sweep_util.Json.parse line) with
       | None -> Alcotest.fail ("unparseable: " ^ line)
       | Some j -> (
           match Space.of_json j with

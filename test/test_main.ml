@@ -23,6 +23,7 @@ let () =
       ("tune", T_tune.suite);
       ("telemetry", T_telemetry.suite);
       ("super", T_super.suite);
+      ("cli", T_cli.suite);
       ("profile", T_profile.suite);
       ("fleet", T_fleet.suite);
     ]
