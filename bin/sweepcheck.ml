@@ -213,7 +213,7 @@ let all_designs_arg =
 
 let benches_arg =
   Arg.(value & opt (list string) [] & info [ "benches" ] ~docv:"B[@S],..."
-         ~doc:"Workloads as name or name\\@scale (default: the 9-job \
+         ~doc:"Workloads as name or name@scale (default: the 9-job \
                sha/dijkstra/fft matrix).")
 
 let stride_arg =
