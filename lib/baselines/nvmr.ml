@@ -70,10 +70,7 @@ let epoch_commit_cost t =
            *. ((e t).E.e_nvm_read +. (e t).E.e_nvm_line_write)))
 
 let epoch_commit t =
-  List.iter
-    (fun (base, data) -> Nvm.write_line t.nvm base data)
-    (Pb.entries_oldest_first t.rename);
-  Pb.clear t.rename;
+  Pb.drain t.rename t.nvm;
   let regs, pc = Cpu.snapshot t.cpu in
   let lines = dirty_saved_lines t in
   (* Checkpointed lines land in NVM: count the write traffic. *)
@@ -280,10 +277,7 @@ let on_reboot t ~now_ns:_ =
    lines. *)
 let drain t ~now_ns:_ =
   let c = epoch_commit_cost t in
-  List.iter
-    (fun (base, data) -> Nvm.write_line t.nvm base data)
-    (Pb.entries_oldest_first t.rename);
-  Pb.clear t.rename;
+  Pb.drain t.rename t.nvm;
   let dirty = Cache.dirty_lines t.cache in
   List.iter
     (fun li ->
