@@ -23,7 +23,11 @@
     time T sees exactly the phase progress made by T.  Writes of a
     buffer's entries into NVM home locations happen (functionally) when
     phase 2 completes or when recovery re-drives it — re-driving is
-    idempotent, matching the paper's "restart t-phase3" rule. *)
+    idempotent, matching the paper's "restart t-phase3" rule.  Those
+    writes land on the instruction during which phase 2's deadline
+    passes.  Phase 1's completion (clearing the flushed lines' dirty
+    bits) is applied lazily, by the next engine pass or by the access
+    that reads it, with the same observable result (DESIGN.md §7.3). *)
 
 include Sweep_machine.Machine_intf.S
 
@@ -32,9 +36,10 @@ val buffer_peak : t -> int
     compiler's threshold invariant). *)
 
 val avg_buffer_fill_at_miss : t -> float
-(** Average number of persist-buffer entries present when a load miss
-    occurred — the paper reports 0.00012 entries per region; we report
-    the per-miss analogue. *)
+(** Average number of persist-buffer entries present when a cache miss
+    occurred — load or store, since both consult the buffers before
+    NVM.  The paper reports 0.00012 entries per region; we report the
+    per-miss analogue. *)
 
 val pack : t -> Sweep_machine.Machine_intf.packed
 (** Wrap an existing instance (keeps it inspectable alongside the packed

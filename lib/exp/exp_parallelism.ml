@@ -17,8 +17,9 @@ let jobs () =
 let efficiency bench ~power =
   Mstats.parallelism_efficiency (C.run C.sweep_empty_bit ~power bench).C.mstats
 
-(* Average persist-buffer occupancy seen by load misses needs the
-   concrete SweepCache instance, so drive one directly. *)
+(* Average persist-buffer occupancy seen by cache misses (loads and
+   stores: both consult the buffers) needs the concrete SweepCache
+   instance, so drive one directly. *)
 let avg_fill bench =
   let w = Sweep_workloads.Registry.find bench in
   let ast = Sweep_workloads.Workload.program w in
