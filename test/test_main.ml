@@ -26,4 +26,5 @@ let () =
       ("cli", T_cli.suite);
       ("profile", T_profile.suite);
       ("fleet", T_fleet.suite);
+      ("reports", T_reports.suite);
     ]
