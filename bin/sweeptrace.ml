@@ -266,27 +266,13 @@ let bench_cmd =
 (* Render sweeptune's artefacts (same code path as `sweeptune report`,
    here so trace analysis tooling covers every JSONL the repo emits). *)
 let tune frontier_path journal_path format out =
-  let journal =
-    match journal_path with
-    | None -> []
-    | Some p -> (
-        match A.Tune_file.load_journal p with
-        | Ok (cells, warnings) ->
-          List.iter (fun w -> Printf.eprintf "warning: %s\n" w) warnings;
-          cells
-        | Error e ->
-          Printf.eprintf "warning: %s\n" e;
-          [])
-  in
-  match A.Tune_file.load_frontier frontier_path with
+  match A.Tune_file.load ?journal:journal_path frontier_path with
   | Error e ->
     read_err "sweeptrace: %s" e;
     2
-  | Ok (entries, warnings) ->
+  | Ok (report, warnings) ->
     List.iter (fun w -> Printf.eprintf "warning: %s\n" w) warnings;
-    Cli.write_output out
-      (A.Report.render format
-         (A.Tune_file.report ~journal ~source:frontier_path entries));
+    Cli.write_output out (A.Report.render format report);
     0
 
 let frontier_pos =
@@ -315,7 +301,7 @@ let tune_cmd =
 let profile profile_path diff_path top threshold json out =
   match diff_path with
   | None -> (
-    match A.Profile_view.load profile_path with
+    match Sweep_sim.Profile.load profile_path with
     | Error e ->
       read_err "sweeptrace: %s" e;
       2

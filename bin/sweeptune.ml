@@ -133,21 +133,13 @@ let explore budget seed strategy scale out_dir kill_after format early_stop
             o.Tune.Search.tier_points
             (String.concat ", " o.Tune.Search.tier_benches)
             frontier_path;
-          let journal_cells =
-            match A.Tune_file.load_journal journal with
-            | Ok (cells, _) -> cells
-            | Error _ -> []
-          in
-          (match A.Tune_file.load_frontier frontier_path with
+          (* Search.run has already reported the journal's warnings. *)
+          (match A.Tune_file.load ~journal frontier_path with
           | Error e ->
               err "%s" e;
               1
-          | Ok (entries, fwarnings) ->
-              List.iter (fun w -> Printf.eprintf "warning: %s\n" w) fwarnings;
-              print_string
-                (A.Report.render format
-                   (A.Tune_file.report ~journal:journal_cells
-                      ~source:frontier_path entries));
+          | Ok (report, _) ->
+              print_string (A.Report.render format report);
               render_failed o.Tune.Search.failed_points;
               (* Deterministically failing cells are a search outcome
                  (excluded from the frontier, exit 0, as always); only
@@ -185,27 +177,13 @@ let plan budget seed strategy scale =
 (* ---------------- report ---------------- *)
 
 let report frontier_path journal_path format out =
-  let journal =
-    match journal_path with
-    | None -> []
-    | Some p -> (
-        match A.Tune_file.load_journal p with
-        | Ok (cells, warnings) ->
-            List.iter (fun w -> Printf.eprintf "warning: %s\n" w) warnings;
-            cells
-        | Error e ->
-            Printf.eprintf "warning: %s\n" e;
-            [])
-  in
-  match A.Tune_file.load_frontier frontier_path with
+  match A.Tune_file.load ?journal:journal_path frontier_path with
   | Error e ->
       err "%s" e;
       Exit_code.usage
-  | Ok (entries, warnings) ->
+  | Ok (report, warnings) ->
       List.iter (fun w -> Printf.eprintf "warning: %s\n" w) warnings;
-      Cli.write_output out
-        (A.Report.render format
-           (A.Tune_file.report ~journal ~source:frontier_path entries));
+      Cli.write_output out (A.Report.render format report);
       0
 
 (* ---------------- command line ---------------- *)

@@ -37,6 +37,18 @@ let zero_base_sentinel = 1e9
 
 (* ---------------- loading ---------------- *)
 
+(* Numeric projection of a metrics snapshot: counters and gauges as-is,
+   histograms as their count and sum. *)
+let numeric (snap : Sweep_obs.Metrics.snapshot) =
+  List.concat_map
+    (fun (name, s) ->
+      match s with
+      | Sweep_obs.Metrics.Count n -> [ (name, float_of_int n) ]
+      | Value v -> [ (name, v) ]
+      | Histo { count; sum; _ } ->
+        [ (name ^ ".count", float_of_int count); (name ^ ".sum", sum) ])
+    snap
+
 let run_of_results records =
   List.map
     (fun r -> (r.Results_file.key, r.Results_file.metrics))
@@ -77,8 +89,8 @@ let load path : (run, string) result =
     | Ok r -> Ok r
     | Error e -> Error (path ^ ": " ^ e))
   | Ok (Json.Obj _ as j) when Json.member "metrics" j <> None -> (
-    match Metrics_file.of_json j with
-    | Ok m -> Ok [ ("metrics", Metrics_file.numeric m) ]
+    match Sweep_obs.Metrics.of_json j with
+    | Ok m -> Ok [ ("metrics", numeric m) ]
     | Error e -> Error (path ^ ": " ^ e))
   | Ok (Json.Obj _ as j) when Json.member "key" j <> None -> (
     (* single-line results JSONL parses as one record *)

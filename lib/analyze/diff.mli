@@ -35,6 +35,10 @@ val zero_base_sentinel : float
 (** Reported magnitude of [delta_pct] when the baseline is 0 and the
     current value is not (relative change undefined). *)
 
+val numeric : Sweep_obs.Metrics.snapshot -> (string * float) list
+(** Flatten a metrics snapshot for diffing: counters and gauges as-is,
+    a histogram as [name.count] and [name.sum]. *)
+
 val load : string -> (run, string) result
 
 val compare_runs :

@@ -1,203 +1,30 @@
-(* Reader + renderer for fleet.json (sweepfleet's aggregated report).
+(* Renderer for fleet.json (sweepfleet's aggregated report).  The file
+   is read by the fleet library's own parsers — the spec through
+   Spec.of_json, the sketch through Sketch.of_json — and quantiles use
+   the sketch's read-back rule, so the report and the journal can never
+   disagree about the format. *)
 
-   The file is self-describing — every histogram embeds its bin edges —
-   so this module depends only on the JSON shape, not on the fleet
-   library (which sits above analyze in the dependency order).
-   Quantiles are re-derived from the bins exactly the way the sketch
-   documents them: upper edge of the first bin whose cumulative count
-   reaches ceil(q * n), clamped to the observed [min, max]. *)
+module Spec = Sweep_fleet.Spec
+module Sketch = Sweep_fleet.Sketch
 
-type hist = {
-  edges : float array;
-  bins : int array;
-  count : int;
-  sum : float;
-  minv : float;
-  maxv : float;
-}
-
-type group = {
-  devices : int;
-  failed : int;
-  rate : hist;
-  energy : hist;
-  reboots : hist;
-  survival : hist;
-}
-
-type tail = {
-  id : int;
-  cohort : string;
-  t_rate : float;
-  t_energy : float;
-  t_reboots : int;
-  t_survival : float;
-  replay : string;
-}
-
-type t = {
-  name : string;
-  bench : string;
-  design : string;
-  trace : string;
-  scale : float;
-  devices_declared : int;
-  seed : int;
-  spec_digest : string;
-  total : group;
-  cohorts : (string * group) list;
-  tails : tail list;
-  failed_total : int;
-  failed_ids : int list;
-}
+type t = { spec : Spec.t; spec_digest : string; state : Sketch.t }
 
 let ( let* ) = Result.bind
 
-let req what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or mistyped field %s" what)
-
-let hist_of_json what j =
-  let* count = req (what ^ ".count") (Json.int_member "count" j) in
-  let* sum = req (what ^ ".sum") (Json.float_member "sum" j) in
-  let* minv = req (what ^ ".min") (Json.float_member "min" j) in
-  let* maxv = req (what ^ ".max") (Json.float_member "max" j) in
-  let* edges_js = req (what ^ ".edges") (Json.list_member "edges" j) in
-  let* edges =
-    List.fold_left
-      (fun acc e ->
-        let* acc = acc in
-        match Json.to_float e with
-        | Some f -> Ok (f :: acc)
-        | None -> Error (what ^ ": mistyped edge"))
-      (Ok []) edges_js
-  in
-  let edges = Array.of_list (List.rev edges) in
-  let bins = Array.make (Array.length edges) 0 in
-  let* bins_js = req (what ^ ".bins") (Json.list_member "bins" j) in
-  let* () =
-    List.fold_left
-      (fun acc pair ->
-        let* () = acc in
-        match Json.to_list pair with
-        | Some [ i; c ] -> (
-          match (Json.to_int i, Json.to_int c) with
-          | Some i, Some c when i >= 0 && i < Array.length bins ->
-            bins.(i) <- c;
-            Ok ()
-          | _ -> Error (what ^ ": bad bin entry"))
-        | _ -> Error (what ^ ": bad bin entry"))
-      (Ok ()) bins_js
-  in
-  Ok { edges; bins; count; sum; minv; maxv }
-
-let group_of_json what j =
-  let* devices = req (what ^ ".devices") (Json.int_member "devices" j) in
-  let* failed = req (what ^ ".failed") (Json.int_member "failed" j) in
-  let sub name =
-    Result.bind
-      (req (what ^ "." ^ name) (Json.member name j))
-      (hist_of_json (what ^ "." ^ name))
-  in
-  let* rate = sub "rate" in
-  let* energy = sub "energy" in
-  let* reboots = sub "reboots" in
-  let* survival = sub "survival" in
-  Ok { devices; failed; rate; energy; reboots; survival }
-
 let of_json j =
-  let* spec = req "spec" (Json.member "spec" j) in
-  let* spec_digest = req "spec_digest" (Json.string_member "spec_digest" j) in
-  let* name = req "spec.name" (Json.string_member "name" spec) in
-  let* bench = req "spec.bench" (Json.string_member "bench" spec) in
-  let* design = req "spec.design" (Json.string_member "design" spec) in
-  let* trace = req "spec.trace" (Json.string_member "trace" spec) in
-  let* scale = req "spec.scale" (Json.float_member "scale" spec) in
-  let* devices_declared = req "spec.devices" (Json.int_member "devices" spec) in
-  let* seed = req "spec.seed" (Json.int_member "seed" spec) in
-  let* state = req "state" (Json.member "state" j) in
-  let* total =
-    Result.bind (req "state.total" (Json.member "total" state))
-      (group_of_json "total")
+  let field name =
+    Option.to_result ~none:("missing or mistyped field " ^ name)
   in
-  let* cohort_js = req "state.cohorts" (Json.list_member "cohorts" state) in
-  let* cohorts =
-    List.fold_left
-      (fun acc c ->
-        let* acc = acc in
-        let* cname = req "cohorts[].cohort" (Json.string_member "cohort" c) in
-        let* g =
-          Result.bind
-            (req "cohorts[].group" (Json.member "group" c))
-            (group_of_json ("cohort " ^ cname))
-        in
-        Ok ((cname, g) :: acc))
-      (Ok []) cohort_js
+  let* spec = Result.bind (field "spec" (Json.member "spec" j)) Spec.of_json in
+  let* spec_digest =
+    field "spec_digest" (Json.string_member "spec_digest" j)
   in
-  let* tail_js = req "state.tail" (Json.list_member "tail" state) in
-  let* tails =
-    List.fold_left
-      (fun acc e ->
-        let* acc = acc in
-        let* id = req "tail[].id" (Json.int_member "id" e) in
-        let* cohort = req "tail[].cohort" (Json.string_member "cohort" e) in
-        let* t_rate = req "tail[].rate" (Json.float_member "rate" e) in
-        let* t_energy = req "tail[].energy" (Json.float_member "energy" e) in
-        let* t_reboots = req "tail[].reboots" (Json.int_member "reboots" e) in
-        let* t_survival =
-          req "tail[].survival" (Json.float_member "survival" e)
-        in
-        let* replay = req "tail[].replay" (Json.string_member "replay" e) in
-        Ok ({ id; cohort; t_rate; t_energy; t_reboots; t_survival; replay }
-           :: acc))
-      (Ok []) tail_js
+  let* state =
+    Result.bind (field "state" (Json.member "state" j)) Sketch.of_json
   in
-  let* failed_total =
-    req "state.failed_total" (Json.int_member "failed_total" state)
-  in
-  let* failed_js =
-    req "state.failed_ids" (Json.list_member "failed_ids" state)
-  in
-  let* failed_ids =
-    List.fold_left
-      (fun acc e ->
-        let* acc = acc in
-        match Json.to_int e with
-        | Some id -> Ok (id :: acc)
-        | None -> Error "mistyped failed id")
-      (Ok []) failed_js
-  in
-  Ok
-    {
-      name; bench; design; trace; scale; devices_declared; seed; spec_digest;
-      total;
-      cohorts = List.rev cohorts;
-      tails = List.rev tails;
-      failed_total;
-      failed_ids = List.rev failed_ids;
-    }
+  Ok { spec; spec_digest; state }
 
-let load path =
-  match Json.parse_file path with
-  | Error e -> Error (path ^ ": " ^ e)
-  | Ok j -> (
-    match of_json j with Error e -> Error (path ^ ": " ^ e) | Ok t -> Ok t)
-
-(* Same read-back rule the sketch documents. *)
-let quantile h q =
-  if h.count = 0 then None
-  else begin
-    let target = max 1 (int_of_float (ceil (q *. float_of_int h.count))) in
-    let i = ref 0 and cum = ref 0 in
-    while !cum < target && !i < Array.length h.bins do
-      cum := !cum + h.bins.(!i);
-      incr i
-    done;
-    let v = h.edges.(max 0 (!i - 1)) in
-    Some (Float.max h.minv (Float.min h.maxv v))
-  end
-
-let mean h = if h.count = 0 then None else Some (h.sum /. float_of_int h.count)
+let load path = Json.load path of_json
 
 (* ---------------- rendering ---------------- *)
 
@@ -208,56 +35,58 @@ let fnum v =
 
 let cell = function None -> "-" | Some v -> fnum v
 
-let quantile_row label h =
+let quantile_row label (h : Sketch.hist) =
+  let q = Sketch.quantile h in
   [
     label;
     string_of_int h.count;
-    cell (mean h);
+    cell (Sketch.mean h);
     cell (if h.count = 0 then None else Some h.minv);
-    cell (quantile h 0.5);
-    cell (quantile h 0.9);
-    cell (quantile h 0.99);
-    cell (quantile h 0.999);
+    cell (q 0.5);
+    cell (q 0.9);
+    cell (q 0.99);
+    cell (q 0.999);
     cell (if h.count = 0 then None else Some h.maxv);
   ]
 
 let dist_headers =
   [ "metric"; "n"; "mean"; "min"; "p50"; "p90"; "p99"; "p99.9"; "max" ]
 
-let group_rows g =
+let group_rows (g : Sketch.group) =
   [
-    quantile_row "rate (instr/s)" g.rate;
-    quantile_row "energy (J)" g.energy;
-    quantile_row "reboots" g.reboots;
-    quantile_row "survival" g.survival;
+    quantile_row "rate (instr/s)" g.h_rate;
+    quantile_row "energy (J)" g.h_energy;
+    quantile_row "reboots" g.h_reboots;
+    quantile_row "survival" g.h_survival;
   ]
 
-let summary_section t =
+let summary_section { spec; state; _ } =
+  let failed_ids = List.rev state.Sketch.failed_ids in
   {
     Report.title = "Fleet summary";
     headers = [ "field"; "value" ];
     rows =
       [
-        [ "fleet"; t.name ];
-        [ "bench"; t.bench ];
-        [ "design"; t.design ];
-        [ "trace"; t.trace ];
-        [ "scale"; fnum t.scale ];
-        [ "seed"; string_of_int t.seed ];
-        [ "devices"; string_of_int t.devices_declared ];
-        [ "aggregated"; string_of_int (t.total.devices + t.total.failed) ];
-        [ "failed"; string_of_int t.failed_total ];
+        [ "fleet"; spec.Spec.name ];
+        [ "bench"; spec.bench ];
+        [ "design"; Spec.design_name spec.design ];
+        [ "trace"; Sweep_energy.Power_trace.kind_name spec.trace ];
+        [ "scale"; fnum spec.scale ];
+        [ "seed"; string_of_int spec.seed ];
+        [ "devices"; string_of_int spec.devices ];
+        [ "aggregated"; string_of_int (Sketch.devices state) ];
+        [ "failed"; string_of_int state.failed_total ];
       ];
     notes =
-      (if t.failed_ids = [] then []
+      (if failed_ids = [] then []
        else
          [
            Printf.sprintf "failed device ids%s: %s"
-             (if t.failed_total > List.length t.failed_ids then
-                Printf.sprintf " (first %d of %d)" (List.length t.failed_ids)
-                  t.failed_total
+             (if state.failed_total > List.length failed_ids then
+                Printf.sprintf " (first %d of %d)" (List.length failed_ids)
+                  state.failed_total
               else "")
-             (String.concat ", " (List.map string_of_int t.failed_ids));
+             (String.concat ", " (List.map string_of_int failed_ids));
          ]);
   }
 
@@ -265,7 +94,7 @@ let distribution_section t =
   {
     Report.title = "Fleet distributions";
     headers = dist_headers;
-    rows = group_rows t.total;
+    rows = group_rows t.state.Sketch.total;
     notes =
       [
         "quantiles are upper bin edges (log bins, <=33% relative error; \
@@ -274,6 +103,7 @@ let distribution_section t =
   }
 
 let cohort_section t =
+  let st = t.state in
   {
     Report.title = "Cohorts";
     headers =
@@ -281,41 +111,44 @@ let cohort_section t =
         "reboots p99"; "survival p50" ];
     rows =
       List.map
-        (fun (name, g) ->
+        (fun name ->
+          let g = Hashtbl.find st.Sketch.cohorts name in
           [
             name;
-            string_of_int g.devices;
+            string_of_int g.Sketch.devices;
             string_of_int g.failed;
-            cell (quantile g.rate 0.5);
-            cell (quantile g.rate 0.99);
-            cell (quantile g.energy 0.5);
-            cell (quantile g.reboots 0.99);
-            cell (quantile g.survival 0.5);
+            cell (Sketch.quantile g.h_rate 0.5);
+            cell (Sketch.quantile g.h_rate 0.99);
+            cell (Sketch.quantile g.h_energy 0.5);
+            cell (Sketch.quantile g.h_reboots 0.99);
+            cell (Sketch.quantile g.h_survival 0.5);
           ])
-        t.cohorts;
+        (List.rev st.cohort_order);
     notes = [];
   }
 
 let tail_section t =
+  let tails = t.state.Sketch.tails in
   {
     Report.title = "Tail devices (slowest forward progress)";
     headers = [ "device"; "cohort"; "rate"; "energy (J)"; "reboots"; "survival" ];
     rows =
       List.map
-        (fun e ->
+        (fun (e : Sketch.tail) ->
           [
-            string_of_int e.id;
-            e.cohort;
+            string_of_int e.t_id;
+            e.t_arm;
             fnum e.t_rate;
             fnum e.t_energy;
             string_of_int e.t_reboots;
             fnum e.t_survival;
           ])
-        t.tails;
+        tails;
     notes =
       List.map
-        (fun e -> Printf.sprintf "replay device %d: sweepsim %s" e.id e.replay)
-        t.tails;
+        (fun (e : Sketch.tail) ->
+          Printf.sprintf "replay device %d: sweepsim %s" e.t_id e.t_replay)
+        tails;
   }
 
 let report ~source t =

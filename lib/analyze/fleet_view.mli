@@ -1,65 +1,18 @@
-(** Reader + renderer for [fleet.json], sweepfleet's aggregated fleet
-    report.
+(** Renderer for [fleet.json], sweepfleet's aggregated fleet report.
 
-    The file is self-describing (every histogram embeds its bin edges),
-    so this module depends only on the JSON shape, not on the fleet
-    library — analyze sits below fleet in the dependency order.
-    Rendering goes through {!Report}, so text/CSV/markdown come for
-    free ([sweeptrace fleet], [sweepfleet report]). *)
-
-type hist = {
-  edges : float array;
-  bins : int array;
-  count : int;
-  sum : float;
-  minv : float;
-  maxv : float;
-}
-
-type group = {
-  devices : int;
-  failed : int;
-  rate : hist;
-  energy : hist;
-  reboots : hist;
-  survival : hist;
-}
-
-type tail = {
-  id : int;
-  cohort : string;
-  t_rate : float;
-  t_energy : float;
-  t_reboots : int;
-  t_survival : float;
-  replay : string;
-}
+    The file is read with the fleet library's own parsers
+    ({!Sweep_fleet.Spec.of_json}, {!Sweep_fleet.Sketch.of_json}) and
+    quantiles follow {!Sweep_fleet.Sketch.quantile}.  Rendering goes
+    through {!Report}, so text/CSV/markdown come for free
+    ([sweeptrace fleet], [sweepfleet report]). *)
 
 type t = {
-  name : string;
-  bench : string;
-  design : string;
-  trace : string;
-  scale : float;
-  devices_declared : int;
-  seed : int;
-  spec_digest : string;
-  total : group;
-  cohorts : (string * group) list;
-  tails : tail list;
-  failed_total : int;
-  failed_ids : int list;
+  spec : Sweep_fleet.Spec.t;
+  spec_digest : string;  (** as recorded in the file *)
+  state : Sweep_fleet.Sketch.t;
 }
 
-val of_json : Json.t -> (t, string) result
 val load : string -> (t, string) result
-
-val quantile : hist -> float -> float option
-(** Upper edge of the first bin whose cumulative count reaches
-    [ceil (q * count)], clamped to the observed min/max — the sketch's
-    documented read-back rule; [None] on empty. *)
-
-val mean : hist -> float option
 
 val report : source:string -> t -> Report.t
 (** Four sections: fleet summary, whole-fleet distributions

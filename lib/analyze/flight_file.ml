@@ -18,7 +18,7 @@ type t = {
   header : header;
   entries : Trace_reader.entry list;
   malformed : int;
-  metrics : Metrics_file.t option;
+  metrics : Sweep_obs.Metrics.snapshot option;
 }
 
 let header_of_json j =
@@ -34,57 +34,35 @@ let header_of_json j =
   else Some { schema_version; job; error; backtrace; events; dropped }
 
 let load path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        match input_line ic with
-        | exception End_of_file -> Error (path ^ ": empty file")
-        | first -> (
-          let header =
-            match Json.parse first with
-            | Error _ -> None
-            | Ok j -> header_of_json j
-          in
-          match header with
-          | None ->
-            Error
-              (path
-             ^ ": not a postmortem artifact (bad header line — expected \
-                {\"kind\":\"postmortem\",...})")
-          | Some h when h.schema_version <> Sweep_obs.Flight.schema_version ->
-            Error
-              (Printf.sprintf "%s: unsupported postmortem schema_version %d"
-                 path h.schema_version)
-          | Some header ->
-            let entries = ref [] in
-            let malformed = ref 0 in
-            let metrics = ref None in
-            (try
-               while true do
-                 let line = input_line ic in
-                 if String.trim line <> "" then
-                   match Trace_reader.parse_line line with
-                   | Some e -> entries := e :: !entries
-                   | None -> (
-                     (* the one non-event line is the closing metrics
-                        snapshot; anything else is malformed *)
-                     match
-                       Result.bind (Json.parse line) Metrics_file.of_json
-                     with
-                     | Ok m -> metrics := Some m
-                     | Error _ -> incr malformed)
-               done
-             with End_of_file -> ());
-            Ok
-              {
-                header;
-                entries = List.rev !entries;
-                malformed = !malformed;
-                metrics = !metrics;
-              }))
+  let step acc _ line =
+    match acc with
+    | None -> (
+      match Option.bind (Result.to_option (Json.parse line)) header_of_json with
+      | None ->
+        Error
+          "not a postmortem artifact (bad header line — expected \
+           {\"kind\":\"postmortem\",...})"
+      | Some h when h.schema_version <> Sweep_obs.Flight.schema_version ->
+        Error
+          (Printf.sprintf "unsupported postmortem schema_version %d"
+             h.schema_version)
+      | Some header ->
+        Ok (Some { header; entries = []; malformed = 0; metrics = None }))
+    | Some _ when String.trim line = "" -> Ok acc
+    | Some t -> (
+      match Trace_reader.parse_line line with
+      | Some e -> Ok (Some { t with entries = e :: t.entries })
+      | None -> (
+        (* the one non-event line is the closing metrics snapshot;
+           anything else is malformed *)
+        match Result.bind (Json.parse line) Sweep_obs.Metrics.of_json with
+        | Ok m -> Ok (Some { t with metrics = Some m })
+        | Error _ -> Ok (Some { t with malformed = t.malformed + 1 })))
+  in
+  match Json.fold_lines path ~init:None step with
+  | Error e -> Error (path ^ ": " ^ e)
+  | Ok None -> Error (path ^ ": empty file")
+  | Ok (Some t) -> Ok { t with entries = List.rev t.entries }
 
 let take_last n xs =
   let len = List.length xs in
@@ -174,7 +152,7 @@ let report ?(tail = 25) ~source t =
           rows =
             List.map
               (fun (name, v) -> [ name; Printf.sprintf "%g" v ])
-              (Metrics_file.numeric m);
+              (Diff.numeric m);
           notes = [];
         };
       ]

@@ -16,7 +16,7 @@ type t = {
   header : header;
   entries : Trace_reader.entry list;  (** ring tail, oldest first *)
   malformed : int;
-  metrics : Metrics_file.t option;
+  metrics : Sweep_obs.Metrics.snapshot option;
 }
 
 val load : string -> (t, string) result

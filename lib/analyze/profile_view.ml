@@ -1,154 +1,16 @@
-(* Reader and renderer for the per-PC attribution profiles that
-   [sweepsim --attrib] / [sweepexp --attrib-dir] write
-   (Sweep_sim.Profile, schema_version 1): load the JSON table back
-   into a typed record, print top-N and per-function / per-opcode
-   breakdowns, and diff two profiles through the generic Diff
-   machinery with a profile-specific direction map (time, energy,
+(* Renderer for the per-PC attribution profiles that
+   [sweepsim --attrib] / [sweepexp --attrib-dir] write and
+   Sweep_sim.Profile reads back: print top-N and per-function /
+   per-opcode breakdowns, and diff two profiles through the generic
+   Diff machinery with a profile-specific direction map (time, energy,
    wear, and re-execution are all lower-better; retirement counts are
    informational). *)
 
 module Table = Sweep_util.Table
+module Profile = Sweep_sim.Profile
+module Attrib = Sweep_obs.Attrib
 
-type row = {
-  pc : int;
-  op : string;
-  label : string;
-  label_off : int;
-  func : string;
-  count : int;
-  forward : int;
-  reexec : int;
-  crashes : int;
-  ns : float;
-  stall_ns : float;
-  joules : float;
-  backup_joules : float;
-  restore_joules : float;
-  ckpt_ns : float;
-  nvm_writes : int;
-  ckpt_nvm_writes : int;
-  cache_misses : int;
-}
-
-type totals = {
-  instructions : int;
-  t_reexec : int;
-  t_forward : int;
-  t_nvm_writes : int;
-  t_ckpt_nvm_writes : int;
-  t_cache_misses : int;
-  t_crashes : int;
-  t_ns : float;
-  t_stall_ns : float;
-  t_joules : float;
-  t_backup_joules : float;
-  t_restore_joules : float;
-  t_ckpt_ns : float;
-}
-
-type t = {
-  design : string;
-  bench : string;
-  scale : float;
-  key : string;
-  totals : totals;
-  rows : row list;
-}
-
-(* ---------------- loading ---------------- *)
-
-exception Bad of string
-
-let req_int name j =
-  match Json.int_member name j with
-  | Some v -> v
-  | None -> raise (Bad (Printf.sprintf "missing integer field %S" name))
-
-let req_float name j =
-  match Json.float_member name j with
-  | Some v -> v
-  | None -> raise (Bad (Printf.sprintf "missing numeric field %S" name))
-
-let req_str name j =
-  match Json.string_member name j with
-  | Some v -> v
-  | None -> raise (Bad (Printf.sprintf "missing string field %S" name))
-
-let row_of_json j =
-  {
-    pc = req_int "pc" j;
-    op = req_str "op" j;
-    label = req_str "label" j;
-    label_off = req_int "label_off" j;
-    func = req_str "func" j;
-    count = req_int "count" j;
-    forward = req_int "forward" j;
-    reexec = req_int "reexec" j;
-    crashes = req_int "crashes" j;
-    ns = req_float "ns" j;
-    stall_ns = req_float "stall_ns" j;
-    joules = req_float "joules" j;
-    backup_joules = req_float "backup_joules" j;
-    restore_joules = req_float "restore_joules" j;
-    ckpt_ns = req_float "ckpt_ns" j;
-    nvm_writes = req_int "nvm_writes" j;
-    ckpt_nvm_writes = req_int "ckpt_nvm_writes" j;
-    cache_misses = req_int "cache_misses" j;
-  }
-
-let totals_of_json j =
-  {
-    instructions = req_int "instructions" j;
-    t_reexec = req_int "reexec" j;
-    t_forward = req_int "forward" j;
-    t_nvm_writes = req_int "nvm_writes" j;
-    t_ckpt_nvm_writes = req_int "ckpt_nvm_writes" j;
-    t_cache_misses = req_int "cache_misses" j;
-    t_crashes = req_int "crashes" j;
-    t_ns = req_float "ns" j;
-    t_stall_ns = req_float "stall_ns" j;
-    t_joules = req_float "joules" j;
-    t_backup_joules = req_float "backup_joules" j;
-    t_restore_joules = req_float "restore_joules" j;
-    t_ckpt_ns = req_float "ckpt_ns" j;
-  }
-
-let of_json j =
-  try
-    (match Json.string_member "kind" j with
-    | Some "sweepcache-profile" -> ()
-    | Some k -> raise (Bad (Printf.sprintf "kind %S is not a profile" k))
-    | None -> raise (Bad "missing \"kind\" member"));
-    (match Json.int_member "schema_version" j with
-    | Some 1 -> ()
-    | Some v -> raise (Bad (Printf.sprintf "unsupported schema_version %d" v))
-    | None -> raise (Bad "missing \"schema_version\""));
-    let totals =
-      match Json.member "totals" j with
-      | Some tj -> totals_of_json tj
-      | None -> raise (Bad "missing \"totals\"")
-    in
-    let rows =
-      match Json.list_member "rows" j with
-      | Some l -> List.map row_of_json l
-      | None -> raise (Bad "missing \"rows\"")
-    in
-    Ok
-      {
-        design = Option.value ~default:"" (Json.string_member "design" j);
-        bench = Option.value ~default:"" (Json.string_member "bench" j);
-        scale = Option.value ~default:1.0 (Json.float_member "scale" j);
-        key = Option.value ~default:"" (Json.string_member "key" j);
-        totals;
-        rows;
-      }
-  with Bad msg -> Error msg
-
-let load path =
-  match Json.parse_file path with
-  | Error e -> Error (path ^ ": " ^ e)
-  | Ok j -> (
-    match of_json j with Ok p -> Ok p | Error e -> Error (path ^ ": " ^ e))
+open Profile
 
 (* ---------------- derived metrics ---------------- *)
 
@@ -178,8 +40,8 @@ let summary_text t =
   in
   line "profile  %s" (String.concat "  " ident);
   line "instructions  %d retired = %d forward + %d re-executed (%.2f%%), %d crash(es)"
-    tt.instructions tt.t_forward tt.t_reexec
-    (pct (float_of_int tt.t_reexec) (float_of_int tt.instructions))
+    tt.Attrib.t_instructions (tt.t_instructions - tt.t_reexec) tt.t_reexec
+    (pct (float_of_int tt.t_reexec) (float_of_int tt.t_instructions))
     tt.t_crashes;
   line "time          %.0f ns executing (%.0f ns of it stalled) + %.0f ns checkpoint/restore"
     tt.t_ns tt.t_stall_ns tt.t_ckpt_ns;
@@ -337,10 +199,10 @@ let row_series r =
     ("cache_misses", float_of_int r.cache_misses);
   ]
 
-let totals_series tt =
+let totals_series (tt : Attrib.totals) =
   [
-    ("instructions", float_of_int tt.instructions);
-    ("forward", float_of_int tt.t_forward);
+    ("instructions", float_of_int tt.t_instructions);
+    ("forward", float_of_int (tt.t_instructions - tt.t_reexec));
     ("reexec", float_of_int tt.t_reexec);
     ("crashes", float_of_int tt.t_crashes);
     ("ns", tt.t_ns);

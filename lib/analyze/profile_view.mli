@@ -1,77 +1,26 @@
-(** Reader/renderer for per-PC attribution profiles.
+(** Renderer for per-PC attribution profiles.
 
     {!Sweep_sim.Profile} writes the schema-versioned JSON table
-    ([sweepsim --attrib], [sweepexp --attrib-dir]); this module loads
-    it back, prints the [sweeptrace profile] report (whole-run summary,
-    top-N tables for time / energy / NVM wear / re-execution, and
-    per-function / per-opcode rollups), and diffs two profiles through
-    {!Diff.compare_runs} with a profile-specific direction map. *)
+    ([sweepsim --attrib], [sweepexp --attrib-dir]) and reads it back;
+    this module prints the [sweeptrace profile] report (whole-run
+    summary, top-N tables for time / energy / NVM wear / re-execution,
+    and per-function / per-opcode rollups), and diffs two profiles
+    through {!Diff.compare_runs} with a profile-specific direction
+    map. *)
 
-type row = {
-  pc : int;
-  op : string;
-  label : string;
-  label_off : int;
-  func : string;
-  count : int;
-  forward : int;
-  reexec : int;
-  crashes : int;
-  ns : float;
-  stall_ns : float;
-  joules : float;
-  backup_joules : float;
-  restore_joules : float;
-  ckpt_ns : float;
-  nvm_writes : int;
-  ckpt_nvm_writes : int;
-  cache_misses : int;
-}
-
-type totals = {
-  instructions : int;
-  t_reexec : int;
-  t_forward : int;
-  t_nvm_writes : int;
-  t_ckpt_nvm_writes : int;
-  t_cache_misses : int;
-  t_crashes : int;
-  t_ns : float;
-  t_stall_ns : float;
-  t_joules : float;
-  t_backup_joules : float;
-  t_restore_joules : float;
-  t_ckpt_ns : float;
-}
-
-type t = {
-  design : string;
-  bench : string;
-  scale : float;
-  key : string;
-  totals : totals;
-  rows : row list;
-}
-
-val of_json : Json.t -> (t, string) result
-(** Strict: wrong [kind], unsupported [schema_version], or any missing
-    row/totals field is an [Error]. *)
-
-val load : string -> (t, string) result
-
-val row_time : row -> float
+val row_time : Sweep_sim.Profile.row -> float
 (** [ns + ckpt_ns + stall_ns] — everything the PC cost on the clock. *)
 
-val row_energy : row -> float
+val row_energy : Sweep_sim.Profile.row -> float
 (** [joules + backup_joules + restore_joules]. *)
 
-val row_wear : row -> int
+val row_wear : Sweep_sim.Profile.row -> int
 (** [nvm_writes + ckpt_nvm_writes]. *)
 
-val summary_text : t -> string
+val summary_text : Sweep_sim.Profile.t -> string
 (** Whole-run header: retirement split, time, energy, wear. *)
 
-val render_report : ?top:int -> t -> string
+val render_report : ?top:int -> Sweep_sim.Profile.t -> string
 (** Summary plus top-[top] (default 10) tables by time, energy, NVM
     writes, and re-execution, then per-function and per-opcode
     rollups.  Deterministic: ties break on PC / group name. *)
@@ -80,11 +29,13 @@ val direction : string -> Sweep_exp.Results.direction
 (** Profile-field direction map: retirement counts ([count], [forward],
     [instructions]) are [`Info]; every cost series is [`Lower_better]. *)
 
-val to_run : t -> Diff.run
+val to_run : Sweep_sim.Profile.t -> Diff.run
 (** One Diff key per row ([pc<n>:<op>]) plus a [totals] pseudo-key that
     compares even across different programs. *)
 
-val diff : ?threshold_pct:float -> t -> t -> (Diff.t, string) result
+val diff :
+  ?threshold_pct:float -> Sweep_sim.Profile.t -> Sweep_sim.Profile.t ->
+  (Diff.t, string) result
 (** [Diff.compare_runs] over {!to_run} with {!direction}; default
     threshold 0.5%. *)
 

@@ -339,7 +339,7 @@ let supervision_section entries =
       };
     ]
 
-let metrics_section (m : Metrics_file.t) =
+let metrics_section (m : Sweep_obs.Metrics.snapshot) =
   {
     title = "Metrics snapshot";
     headers = [ "series"; "value" ];
@@ -349,9 +349,9 @@ let metrics_section (m : Metrics_file.t) =
           [
             name;
             (match s with
-            | Metrics_file.Counter n -> fmt_int n
-            | Metrics_file.Gauge v -> fmt_f v
-            | Metrics_file.Histogram { count; sum; _ } ->
+            | Sweep_obs.Metrics.Count n -> fmt_int n
+            | Value v -> fmt_f v
+            | Histo { count; sum; _ } ->
               Printf.sprintf "count=%d sum=%g mean=%g" count sum
                 (if count = 0 then 0.0 else sum /. float_of_int count));
           ])
@@ -363,8 +363,8 @@ let metrics_section (m : Metrics_file.t) =
 
 let build ?metrics_path ?results_path ~trace_path () =
   match Trace_reader.read_all trace_path with
-  | exception Sys_error e -> Error e
-  | entries, stats ->
+  | Error e -> Error e
+  | Ok (entries, stats) ->
     if stats.Trace_reader.parsed = 0 then
       Error
         (Printf.sprintf
@@ -376,20 +376,8 @@ let build ?metrics_path ?results_path ~trace_path () =
       let stalls = Stall_view.of_entries entries in
       let buffers = Buffer_view.of_entries entries in
       let power = Power_view.of_entries entries in
-      let results =
-        Option.map
-          (fun p ->
-            match Results_file.load p with
-            | Ok r -> Ok r
-            | Error e -> Error e)
-          results_path
-      in
-      let metrics =
-        Option.map
-          (fun p ->
-            match Metrics_file.load p with Ok m -> Ok m | Error e -> Error e)
-          metrics_path
-      in
+      let results = Option.map Results_file.load results_path in
+      let metrics = Option.map Sweep_obs.Metrics.load metrics_path in
       let warnings =
         (if stats.Trace_reader.dropped > 0 then
            [

@@ -50,32 +50,19 @@ let record_of_line j =
       }
 
 let load path =
-  let ic = try Ok (open_in path) with Sys_error e -> Error e in
-  match ic with
-  | Error e -> Error e
-  | Ok ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let records = ref [] in
-        let malformed = ref 0 in
-        (try
-           while true do
-             let line = input_line ic in
-             if String.trim line <> "" then
-               match Json.parse line with
-               | Ok j -> (
-                 match record_of_line j with
-                 | Some r ->
-                   (* last line per key wins *)
-                   records :=
-                     r :: List.filter (fun x -> x.key <> r.key) !records
-                 | None -> incr malformed)
-               | Error _ -> incr malformed
-           done
-         with End_of_file -> ());
-        if !records = [] then
-          Error
-            (Printf.sprintf "%s: no parseable result lines (%d malformed)"
-               path !malformed)
-        else Ok (List.rev !records))
+  let step (records, malformed) _ line =
+    if String.trim line = "" then Ok (records, malformed)
+    else
+      match Option.bind (Result.to_option (Json.parse line)) record_of_line with
+      | Some r ->
+        (* last line per key wins *)
+        Ok (r :: List.filter (fun x -> x.key <> r.key) records, malformed)
+      | None -> Ok (records, malformed + 1)
+  in
+  match Json.fold_lines path ~init:([], 0) step with
+  | Error e -> Error (path ^ ": " ^ e)
+  | Ok ([], malformed) ->
+    Error
+      (Printf.sprintf "%s: no parseable result lines (%d malformed)" path
+         malformed)
+  | Ok (records, _) -> Ok (List.rev records)

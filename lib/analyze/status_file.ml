@@ -181,11 +181,7 @@ let of_json j =
         running = List.rev running;
       }
 
-let load path =
-  match Json.parse_file path with
-  | Error e -> Error (path ^ ": " ^ e)
-  | Ok j -> (
-    match of_json j with Error e -> Error (path ^ ": " ^ e) | Ok t -> Ok t)
+let load path = Json.load path of_json
 
 let validate t =
   let problems = ref [] in

@@ -21,12 +21,6 @@ let empty_stats = { lines = 0; parsed = 0; malformed = 0; dropped = 0 }
 (* The JSONL layout fields that are not event payload. *)
 let meta_fields = [ "ns"; "ev"; "name"; "cat" ]
 
-let arg_of_json = function
-  | Json.Bool b -> Some (Ev.Bool b)
-  | Json.Num f -> Some (Ev.Num f)
-  | Json.Str s -> Some (Ev.Str s)
-  | Json.Null | Json.List _ | Json.Obj _ -> None
-
 let parse_line line =
   match Json.parse line with
   | Error _ -> None
@@ -40,11 +34,7 @@ let parse_line line =
     with
     | Some ns, Some tag, Some name, Some cat, Some fields ->
       let args =
-        List.filter_map
-          (fun (k, v) ->
-            if List.mem k meta_fields then None
-            else Option.map (fun a -> (k, a)) (arg_of_json v))
-          fields
+        List.filter (fun (k, _) -> not (List.mem k meta_fields)) fields
       in
       Option.map
         (fun event -> { ns; event })
@@ -52,35 +42,24 @@ let parse_line line =
     | _ -> None)
 
 let fold path ~init ~f =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let acc = ref init in
-      let stats = ref empty_stats in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then begin
-             let s = !stats in
-             match parse_line line with
-             | Some entry ->
-               let dropped =
-                 match entry.event with
-                 | Ev.Dropped { count } -> s.dropped + count
-                 | _ -> s.dropped
-               in
-               stats :=
-                 { s with lines = s.lines + 1; parsed = s.parsed + 1; dropped };
-               acc := f !acc entry
-             | None ->
-               stats :=
-                 { s with lines = s.lines + 1; malformed = s.malformed + 1 }
-           end
-         done
-       with End_of_file -> ());
-      (!acc, !stats))
+  Json.fold_lines path ~init:(init, empty_stats) (fun (acc, s) _ line ->
+      if String.trim line = "" then Ok (acc, s)
+      else
+        match parse_line line with
+        | Some entry ->
+          let dropped =
+            match entry.event with
+            | Ev.Dropped { count } -> s.dropped + count
+            | _ -> s.dropped
+          in
+          Ok
+            ( f acc entry,
+              { s with lines = s.lines + 1; parsed = s.parsed + 1; dropped } )
+        | None ->
+          Ok (acc, { s with lines = s.lines + 1; malformed = s.malformed + 1 }))
+  |> Result.map_error (fun e -> path ^ ": " ^ e)
 
 let read_all path =
-  let entries, stats = fold path ~init:[] ~f:(fun acc e -> e :: acc) in
-  (List.rev entries, stats)
+  Result.map
+    (fun (entries, stats) -> (List.rev entries, stats))
+    (fold path ~init:[] ~f:(fun acc e -> e :: acc))

@@ -21,8 +21,10 @@ val parse_line : string -> entry option
 (** One JSONL line → entry; [None] on malformed input.  Inverse of
     {!Sweep_obs.Jsonl_sink.render_line}. *)
 
-val fold : string -> init:'a -> f:('a -> entry -> 'a) -> 'a * stats
-(** Stream the file through [f] line by line (constant memory). *)
+val fold :
+  string -> init:'a -> f:('a -> entry -> 'a) -> ('a * stats, string) result
+(** Stream the file through [f] line by line (constant memory).
+    [Error] only when the file cannot be read. *)
 
-val read_all : string -> entry list * stats
+val read_all : string -> (entry list * stats, string) result
 (** Materialise the whole trace, file order preserved. *)

@@ -1,141 +1,29 @@
-type entry = {
-  id : string;
-  cache_bytes : int;
-  assoc : int;
-  buffer_entries : int;
-  store_cap : int;
-  max_unroll : int;
-  farads : float;
-  trace : string;
-  benches : string list;
-  runtime_ns : float;
-  nvm_writes : float;
-  hw_bits : int;
-}
+(* Report renderer for sweeptune's frontier and journal, read through
+   their writers' loaders (Sweep_tune.Frontier.load / Journal.load). *)
 
-type cell = {
-  c_cache_bytes : int;
-  c_assoc : int;
-  c_buffer_entries : int;
-  c_store_cap : int;
-  c_max_unroll : int;
-  c_farads : float;
-  c_trace : string;
-  bench : string;
-  c_runtime_ns : float;
-  c_nvm_writes : int;
-  completed : bool;
-  failed : bool;
-}
-
-let schema_version = 1
-
-let entry_of_json j =
-  let ( let* ) = Option.bind in
-  let* id = Json.string_member "id" j in
-  let* cache_bytes = Json.int_member "cache_bytes" j in
-  let* assoc = Json.int_member "assoc" j in
-  let* buffer_entries = Json.int_member "buffer_entries" j in
-  let* store_cap = Json.int_member "store_cap" j in
-  let* max_unroll = Json.int_member "max_unroll" j in
-  let* farads = Json.float_member "farads" j in
-  let* trace = Json.string_member "trace" j in
-  let* benches =
-    Option.map
-      (List.filter_map Json.to_string)
-      (Json.list_member "benches" j)
-  in
-  let* runtime_ns = Json.float_member "runtime_ns" j in
-  let* nvm_writes = Json.float_member "nvm_writes" j in
-  let* hw_bits = Json.int_member "hw_bits" j in
-  Some
-    { id; cache_bytes; assoc; buffer_entries; store_cap; max_unroll; farads;
-      trace; benches; runtime_ns; nvm_writes; hw_bits }
-
-let cell_of_json j =
-  let ( let* ) = Option.bind in
-  let* c_cache_bytes = Json.int_member "cache_bytes" j in
-  let* c_assoc = Json.int_member "assoc" j in
-  let* c_buffer_entries = Json.int_member "buffer_entries" j in
-  let* c_store_cap = Json.int_member "store_cap" j in
-  let* c_max_unroll = Json.int_member "max_unroll" j in
-  let* c_farads = Json.float_member "farads" j in
-  let* c_trace = Json.string_member "trace" j in
-  let* bench = Json.string_member "bench" j in
-  let* c_runtime_ns = Json.float_member "runtime_ns" j in
-  let* c_nvm_writes = Json.int_member "nvm_writes" j in
-  let* completed = Json.bool_member "completed" j in
-  let* failed = Json.bool_member "failed" j in
-  Some
-    { c_cache_bytes; c_assoc; c_buffer_entries; c_store_cap; c_max_unroll;
-      c_farads; c_trace; bench; c_runtime_ns; c_nvm_writes; completed; failed }
-
-(* Forgiving JSONL reader: the strict loader lives next to the writer in
-   sweepcache.tune; here an odd line degrades to a warning so a report
-   still renders from what is readable. *)
-let load_lines ~what of_json path =
-  if not (Sys.file_exists path) then Error (path ^ ": no such file")
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          while true do
-            lines := input_line ic :: !lines
-          done
-        with End_of_file -> ());
-    let items = ref [] and warnings = ref [] in
-    List.iteri
-      (fun idx raw ->
-        if String.trim raw <> "" then
-          let warn fmt =
-            Printf.ksprintf
-              (fun m -> warnings := m :: !warnings)
-              ("%s line %d: " ^^ fmt)
-              what (idx + 1)
-          in
-          match Json.parse raw with
-          | Error e -> warn "%s" e
-          | Ok j -> (
-              match Json.int_member "schema_version" j with
-              | Some v when v <> schema_version ->
-                  warn "schema version %d (expected %d)" v schema_version
-              | _ -> (
-                  match of_json j with
-                  | Some item -> items := item :: !items
-                  | None -> warn "missing fields"))
-      )
-      (List.rev !lines);
-    Ok (List.rev !items, List.rev !warnings)
-  end
-
-let load_frontier path = load_lines ~what:"frontier" entry_of_json path
-let load_journal path = load_lines ~what:"journal" cell_of_json path
-
-let farads_label f =
-  if f >= 1e-3 then Printf.sprintf "%gmF" (f /. 1e-3)
-  else if f >= 1e-6 then Printf.sprintf "%guF" (f /. 1e-6)
-  else Printf.sprintf "%gnF" (f /. 1e-9)
+module Space = Sweep_tune.Space
+module Frontier = Sweep_tune.Frontier
+module Journal = Sweep_tune.Journal
 
 let ms ns = Printf.sprintf "%.3f" (ns /. 1e6)
 
-let frontier_section entries =
+let trace_name (p : Space.point) = Sweep_energy.Power_trace.kind_name p.trace
+
+let frontier_section (entries : Frontier.entry list) =
   let rows =
     List.map
-      (fun e ->
-        [ e.id;
-          string_of_int e.cache_bytes;
-          string_of_int e.assoc;
-          string_of_int e.buffer_entries;
-          string_of_int e.store_cap;
-          string_of_int e.max_unroll;
-          farads_label e.farads;
-          e.trace;
-          ms e.runtime_ns;
-          Printf.sprintf "%.0f" e.nvm_writes;
-          string_of_int e.hw_bits ])
+      (fun ({ point = p; objs; _ } : Frontier.entry) ->
+        [ Space.id p;
+          string_of_int p.cache_bytes;
+          string_of_int p.assoc;
+          string_of_int p.buffer_entries;
+          string_of_int p.store_cap;
+          string_of_int p.max_unroll;
+          Space.farads_label p.farads;
+          trace_name p;
+          ms objs.runtime_ns;
+          Printf.sprintf "%.0f" objs.nvm_writes;
+          string_of_int objs.hw_bits ])
       entries
   in
   let benches =
@@ -161,22 +49,21 @@ let frontier_section entries =
 
 (* Per-axis sensitivity over completed journal cells, mirroring the
    paper's one-axis-at-a-time §6 sweeps. *)
-let axes =
+let axes : (string * string * (Space.point -> string)) list =
   [
     ("cache size", "cache geometry sweep (§6.8, Fig. 8)",
-     fun c -> string_of_int c.c_cache_bytes);
+     fun p -> string_of_int p.cache_bytes);
     ("associativity", "cache geometry sweep (§6.8, Fig. 8)",
-     fun c -> string_of_int c.c_assoc);
+     fun p -> string_of_int p.assoc);
     ("buffer entries", "persist-buffer capacity / hardware cost (§6.9)",
-     fun c -> string_of_int c.c_buffer_entries);
+     fun p -> string_of_int p.buffer_entries);
     ("store cap", "region store threshold (§6.4)",
-     fun c -> string_of_int c.c_store_cap);
+     fun p -> string_of_int p.store_cap);
     ("max unroll", "compiler unrolling knob (§4)",
-     fun c -> string_of_int c.c_max_unroll);
+     fun p -> string_of_int p.max_unroll);
     ("capacitor", "capacitor sizing (§6.6, Tab. 2 / Fig. 9)",
-     fun c -> farads_label c.c_farads);
-    ("power trace", "ambient power environments (§6.7, Fig. 10)",
-     fun c -> c.c_trace);
+     fun p -> Space.farads_label p.farads);
+    ("power trace", "ambient power environments (§6.7, Fig. 10)", trace_name);
   ]
 
 let geomean = function
@@ -185,11 +72,14 @@ let geomean = function
       let n = float_of_int (List.length xs) in
       exp (List.fold_left (fun acc x -> acc +. log x) 0.0 xs /. n)
 
-let sensitivity_sections cells =
-  let ok = List.filter (fun c -> c.completed && not c.failed) cells in
+let sensitivity_sections (cells : Journal.cell list) =
+  let ok =
+    List.filter (fun (c : Journal.cell) -> c.completed && not c.failed) cells
+  in
   let skipped = List.length cells - List.length ok in
   List.filter_map
-    (fun (axis, figure, value_of) ->
+    (fun (axis, figure, axis_value) ->
+      let value_of (c : Journal.cell) = axis_value c.point in
       let values =
         List.sort_uniq Stdlib.compare (List.map value_of ok)
         (* numeric axes render as digits: sort numerically when possible *)
@@ -206,11 +96,13 @@ let sensitivity_sections cells =
               let group = List.filter (fun c -> value_of c = v) ok in
               let n = List.length group in
               let runtime =
-                geomean (List.map (fun c -> c.c_runtime_ns) group)
+                geomean
+                  (List.map (fun (c : Journal.cell) -> c.runtime_ns) group)
               in
               let writes =
                 List.fold_left
-                  (fun acc c -> acc +. float_of_int c.c_nvm_writes)
+                  (fun acc (c : Journal.cell) ->
+                    acc +. float_of_int c.nvm_writes)
                   0.0 group
                 /. float_of_int (max 1 n)
               in
@@ -237,3 +129,15 @@ let report ?(journal = []) ~source entries =
     warnings = [];
     sections = frontier_section entries :: sensitivity_sections journal;
   }
+
+let load ?journal frontier =
+  match Frontier.load frontier with
+  | Error e -> Error e
+  | Ok entries ->
+    let cells, warnings =
+      match Option.map Journal.load journal with
+      | None -> ([], [])
+      | Some (Ok loaded) -> loaded
+      | Some (Error e) -> ([], [ e ])
+    in
+    Ok (report ~journal:cells ~source:frontier entries, warnings)

@@ -1,56 +1,30 @@
-(** Reader and report renderer for sweeptune's output files.
+(** Report renderer for sweeptune's output files.
 
     [sweeptune explore] writes two JSONL artifacts: the journal (one
-    line per evaluated (point, bench) cell) and the frontier (one line
-    per Pareto-optimal design point).  This module parses both
-    generically — the analysis layer sits below [sweepcache.tune], so it
-    reads the schema, not the types — and renders them as a {!Report}:
-    the frontier table plus one per-axis sensitivity section for each
-    design-space axis, each mapped to the paper figure it reproduces
-    (§6.8 Fig. 8 cache geometry, §6.6 Tab. 2/Fig. 9 capacitor, §6.7
-    Fig. 10 power trace, §6.4 store cap, §6.9 buffer capacity /
-    hardware cost). *)
+    line per evaluated (point, bench) cell, {!Sweep_tune.Journal}) and
+    the frontier (one line per Pareto-optimal design point,
+    {!Sweep_tune.Frontier}).  Both are read by their writers' loaders;
+    this module renders them as a {!Report}: the frontier table plus one
+    per-axis sensitivity section for each design-space axis, each mapped
+    to the paper figure it reproduces (§6.8 Fig. 8 cache geometry, §6.6
+    Tab. 2/Fig. 9 capacitor, §6.7 Fig. 10 power trace, §6.4 store cap,
+    §6.9 buffer capacity / hardware cost). *)
 
-type entry = {
-  id : string;
-  cache_bytes : int;
-  assoc : int;
-  buffer_entries : int;
-  store_cap : int;
-  max_unroll : int;
-  farads : float;
-  trace : string;
-  benches : string list;
-  runtime_ns : float;
-  nvm_writes : float;
-  hw_bits : int;
-}
-(** One frontier line. *)
-
-type cell = {
-  c_cache_bytes : int;
-  c_assoc : int;
-  c_buffer_entries : int;
-  c_store_cap : int;
-  c_max_unroll : int;
-  c_farads : float;
-  c_trace : string;
-  bench : string;
-  c_runtime_ns : float;
-  c_nvm_writes : int;
-  completed : bool;
-  failed : bool;
-}
-(** One journal line. *)
-
-val load_frontier : string -> (entry list * string list, string) result
-(** Entries in file order plus warnings (skipped lines with an
-    unexpected schema version). *)
-
-val load_journal : string -> (cell list * string list, string) result
-
-val report : ?journal:cell list -> source:string -> entry list -> Report.t
+val report :
+  ?journal:Sweep_tune.Journal.cell list ->
+  source:string ->
+  Sweep_tune.Frontier.entry list ->
+  Report.t
 (** The frontier table, then — when journal cells are supplied — one
     sensitivity section per axis with at least two observed values:
     cells grouped by axis value with geomean runtime and mean NVM
     writes over completed cells. *)
+
+val load :
+  ?journal:string -> string -> (Report.t * string list, string) result
+(** [load ?journal frontier] reads the frontier with
+    {!Sweep_tune.Frontier.load} (any problem is the [Error]) and the
+    optional journal with {!Sweep_tune.Journal.load}, and renders
+    {!report} with the frontier path as source.  A journal that does not
+    load is a warning and the report has no sensitivity sections; the
+    journal's own warnings (a dropped torn final line) are passed on. *)

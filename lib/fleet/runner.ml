@@ -77,43 +77,34 @@ let append_journal oc ~digest ~done_ state =
    hard error — the spec file changed under an existing journal. *)
 let load_journal path ~digest ~devices =
   if not (Sys.file_exists path) then Ok None
-  else begin
-    let ic = open_in path in
-    let last = ref None in
-    let err = ref None in
-    (try
-       while true do
-         let line = input_line ic in
-         match Json.parse line with
-         | Error _ -> () (* torn or garbage line: ignore *)
-         | Ok j -> (
-           match
-             ( Json.int_member "schema_version" j,
-               Json.string_member "spec_digest" j,
-               Json.int_member "done" j,
-               Json.member "state" j )
-           with
-           | Some v, _, _, _ when v <> journal_schema_version ->
-             err :=
-               Some (Printf.sprintf "unsupported journal schema_version %d" v)
-           | Some _, Some d, _, _ when d <> digest ->
-             err :=
-               Some
-                 "journal belongs to a different spec (digest mismatch) — \
-                  remove it or restore the original spec"
-           | Some _, Some _, Some done_, Some state_js -> (
-             match Sketch.of_json state_js with
-             | Error e -> err := Some e
-             | Ok st ->
-               if done_ < 0 || done_ > devices then
-                 err := Some (Printf.sprintf "journal cursor %d out of range" done_)
-               else last := Some (st, done_))
-           | _ -> () (* structurally incomplete: treat as torn *))
-       done
-     with End_of_file -> ());
-    close_in ic;
-    match !err with Some e -> Error (path ^ ": " ^ e) | None -> Ok !last
-  end
+  else
+    let step last _ line =
+      match Json.parse line with
+      | Error _ -> Ok last (* torn or garbage line: ignore *)
+      | Ok j -> (
+        match
+          ( Json.int_member "schema_version" j,
+            Json.string_member "spec_digest" j,
+            Json.int_member "done" j,
+            Json.member "state" j )
+        with
+        | Some v, _, _, _ when v <> journal_schema_version ->
+          Error (Printf.sprintf "unsupported journal schema_version %d" v)
+        | Some _, Some d, _, _ when d <> digest ->
+          Error
+            "journal belongs to a different spec (digest mismatch) — \
+             remove it or restore the original spec"
+        | Some _, Some _, Some done_, Some state_js -> (
+          match Sketch.of_json state_js with
+          | Error e -> Error e
+          | Ok _ when done_ < 0 || done_ > devices ->
+            Error (Printf.sprintf "journal cursor %d out of range" done_)
+          | Ok st -> Ok (Some (st, done_)))
+        | _ -> Ok last (* structurally incomplete: treat as torn *))
+    in
+    Result.map_error
+      (fun e -> path ^ ": " ^ e)
+      (Json.fold_lines path ~init:None step)
 
 let declare_status_cohorts (spec : Spec.t) exec_config =
   match exec_config with

@@ -235,8 +235,8 @@ let fold_failure t ~id ~arm =
 let devices t = t.total.devices + t.total.failed
 
 (* JSON: self-describing (edges are embedded), sparse bins, %.17g
-   floats — byte-stable round-trip, consumed by the journal, the final
-   fleet.json and Sweep_analyze.Fleet_view. *)
+   floats — byte-stable round-trip through [of_json], the reader of
+   both the journal and the final fleet.json. *)
 
 let json_hist b h =
   Buffer.add_string b

@@ -15,8 +15,9 @@
 
     {!render} / {!parse} round-trip the full state as canonical JSON
     (embedded bin edges, sparse bins, [%.17g] floats) — the format of
-    the aggregation journal and of the final [fleet.json], consumed
-    generically by [Sweep_analyze.Fleet_view]. *)
+    the aggregation journal and of the final [fleet.json].  {!of_json}
+    is the one reader of both: the runner resumes through it and
+    [Sweep_analyze.Fleet_view] renders what it returns. *)
 
 type hist = {
   edges : float array;  (** upper edge per bin, ascending, static *)

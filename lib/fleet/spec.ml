@@ -268,8 +268,4 @@ let of_json j =
     | [] -> Ok t
     | p :: _ -> Error p)
 
-let load path =
-  match Json.parse_file path with
-  | Error e -> Error (path ^ ": " ^ e)
-  | Ok j -> (
-    match of_json j with Error e -> Error (path ^ ": " ^ e) | Ok t -> Ok t)
+let load path = Json.load path of_json

@@ -179,7 +179,9 @@ let tag = function
   | Tune_frontier _ -> "tune_frontier"
   | Mark _ -> "mark"
 
-let js = Sweep_util.Json.escape_string
+module Json = Sweep_util.Json
+
+let js = Json.escape_string
 
 (* Event payload as JSON object fields (no surrounding braces), for the
    JSONL and Chrome "args" renderings. *)
@@ -252,25 +254,12 @@ let json_args = function
 (* ------------------------------------------------------------------ *)
 (* Round-trip parsing: rebuild an event from its [tag], display [name],
    category name and decoded argument fields.  The inverse of
-   [tag]/[name]/[json_args] for every constructor, so a JSONL trace can
-   be re-read by Sweep_analyze without an external JSON dependency
-   leaking into this library. *)
+   [tag]/[name]/[json_args] for every constructor. *)
 
-type arg = Bool of bool | Num of float | Str of string
-
-let num_arg args k =
-  match List.assoc_opt k args with Some (Num f) -> Some f | _ -> None
-
-let int_arg args k =
-  match num_arg args k with
-  | Some f when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
-
-let bool_arg args k =
-  match List.assoc_opt k args with Some (Bool b) -> Some b | _ -> None
-
-let str_arg args k =
-  match List.assoc_opt k args with Some (Str s) -> Some s | _ -> None
+let num_arg args k = Option.bind (List.assoc_opt k args) Json.to_float
+let int_arg args k = Option.bind (List.assoc_opt k args) Json.to_int
+let bool_arg args k = Option.bind (List.assoc_opt k args) Json.to_bool
+let str_arg args k = Option.bind (List.assoc_opt k args) Json.to_string
 
 let phase_of_index = function
   | 1 -> Some Fill

@@ -122,14 +122,10 @@ val json_args : t -> string
     decoded JSONL line.  Lives here (rather than in [Sweep_analyze]) so
     the constructor list and its parser can never drift apart. *)
 
-type arg = Bool of bool | Num of float | Str of string
-(** Decoded JSON scalar — what a trace reader hands back for each
-    payload field. *)
-
 val of_parts :
-  tag:string -> name:string -> cat:string -> args:(string * arg) list ->
-  t option
+  tag:string -> name:string -> cat:string ->
+  args:(string * Sweep_util.Json.t) list -> t option
 (** [of_parts ~tag ~name ~cat ~args] is the event whose JSONL rendering
     carries those parts, or [None] for an unknown tag / missing or
     ill-typed fields.  [name] and [cat] matter only for [mark] events;
-    numeric fields accept any integral [Num]. *)
+    integer fields accept any integral [Num]. *)

@@ -221,6 +221,48 @@ let render_json snap =
   Buffer.add_string b "}}";
   Buffer.contents b
 
+(* Read back what [render_json] wrote.  A series whose sample does not
+   decode is skipped; a missing or foreign [schema_version] is an
+   error. *)
+let bound_of = function
+  | Json.Num f -> Some f
+  | Json.Str "+inf" -> Some infinity
+  | _ -> None
+
+let sample_of_json j =
+  let ( let* ) = Option.bind in
+  match Json.string_member "type" j with
+  | Some "counter" -> Option.map (fun n -> Count n) (Json.int_member "value" j)
+  | Some "gauge" -> Option.map (fun v -> Value v) (Json.float_member "value" j)
+  | Some "histogram" ->
+    let* count = Json.int_member "count" j in
+    let* sum = Json.float_member "sum" j in
+    let* buckets = Json.list_member "buckets" j in
+    let* buckets =
+      List.fold_right
+        (fun b acc ->
+          let* acc = acc in
+          let* le = Option.bind (Json.member "le" b) bound_of in
+          let* n = Json.int_member "n" b in
+          Some ((le, n) :: acc))
+        buckets (Some [])
+    in
+    Some (Histo { count; sum; buckets })
+  | _ -> None
+
+let of_json j =
+  match (Json.int_member "schema_version" j, Json.member "metrics" j) with
+  | Some v, Some (Json.Obj series) when v = json_schema_version ->
+    Ok
+      (List.filter_map
+         (fun (name, s) -> Option.map (fun s -> (name, s)) (sample_of_json s))
+         series)
+  | Some v, Some _ when v <> json_schema_version ->
+    Error (Printf.sprintf "unsupported metrics schema_version %d" v)
+  | _ -> Error "not a metrics snapshot (missing schema_version/metrics)"
+
+let load path = Json.load path of_json
+
 let write_json path snap =
   let oc = open_out path in
   Fun.protect

@@ -78,3 +78,11 @@ val render_json : snapshot -> string
 
 val write_json : string -> snapshot -> unit
 (** {!render_json} to a file (plus trailing newline). *)
+
+val of_json : Sweep_util.Json.t -> (snapshot, string) result
+(** Inverse of {!render_json}: an unsupported or missing
+    [schema_version] is an [Error]; a series whose sample does not
+    decode is skipped. *)
+
+val load : string -> (snapshot, string) result
+(** {!of_json} of a [--metrics-out] file; errors name the path. *)

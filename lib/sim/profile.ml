@@ -12,6 +12,7 @@
 module Attrib = Sweep_obs.Attrib
 module Decoded = Sweep_isa.Decoded
 module Program = Sweep_isa.Program
+module Json = Sweep_util.Json
 
 let schema_version = 1
 
@@ -97,7 +98,7 @@ let make ?(design = "") ?(bench = "") ?(scale = 1.0) ?(key = "") prog
 (* %.17g keeps parse/render round-trips exact; integral floats still
    carry enough digits that a reader can't confuse them with ints. *)
 let fl = Printf.sprintf "%.17g"
-let js = Sweep_util.Json.escape_string
+let js = Json.escape_string
 
 let totals_json (tt : Attrib.totals) =
   Printf.sprintf
@@ -148,6 +149,92 @@ let to_folded t =
           (Printf.sprintf "%s;%s+%d;%s %d\n" r.func r.label r.label_off r.op w))
     t.rows;
   Buffer.contents b
+
+(* Read back what [to_json] wrote.  Strict: a foreign [kind], another
+   [schema_version], or any missing row/totals field is an error.  The
+   totals' [forward] is not read: it is [instructions - reexec], as
+   written. *)
+exception Bad of string
+
+let req conv what name j =
+  match conv name j with
+  | Some v -> v
+  | None -> raise (Bad (Printf.sprintf "missing %s field %S" what name))
+
+let req_int = req Json.int_member "integer"
+let req_float = req Json.float_member "numeric"
+let req_str = req Json.string_member "string"
+
+let row_of_json j =
+  {
+    pc = req_int "pc" j;
+    op = req_str "op" j;
+    label = req_str "label" j;
+    label_off = req_int "label_off" j;
+    func = req_str "func" j;
+    count = req_int "count" j;
+    forward = req_int "forward" j;
+    reexec = req_int "reexec" j;
+    crashes = req_int "crashes" j;
+    ns = req_float "ns" j;
+    stall_ns = req_float "stall_ns" j;
+    joules = req_float "joules" j;
+    backup_joules = req_float "backup_joules" j;
+    restore_joules = req_float "restore_joules" j;
+    ckpt_ns = req_float "ckpt_ns" j;
+    nvm_writes = req_int "nvm_writes" j;
+    ckpt_nvm_writes = req_int "ckpt_nvm_writes" j;
+    cache_misses = req_int "cache_misses" j;
+  }
+
+let totals_of_json j =
+  {
+    Attrib.t_instructions = req_int "instructions" j;
+    t_reexec = req_int "reexec" j;
+    t_nvm_writes = req_int "nvm_writes" j;
+    t_ckpt_nvm_writes = req_int "ckpt_nvm_writes" j;
+    t_cache_misses = req_int "cache_misses" j;
+    t_crashes = req_int "crashes" j;
+    t_ns = req_float "ns" j;
+    t_stall_ns = req_float "stall_ns" j;
+    t_joules = req_float "joules" j;
+    t_backup_joules = req_float "backup_joules" j;
+    t_restore_joules = req_float "restore_joules" j;
+    t_ckpt_ns = req_float "ckpt_ns" j;
+  }
+
+let of_json j =
+  try
+    (match Json.string_member "kind" j with
+    | Some "sweepcache-profile" -> ()
+    | Some k -> raise (Bad (Printf.sprintf "kind %S is not a profile" k))
+    | None -> raise (Bad "missing \"kind\" member"));
+    (match Json.int_member "schema_version" j with
+    | Some v when v = schema_version -> ()
+    | Some v -> raise (Bad (Printf.sprintf "unsupported schema_version %d" v))
+    | None -> raise (Bad "missing \"schema_version\""));
+    let totals =
+      match Json.member "totals" j with
+      | Some tj -> totals_of_json tj
+      | None -> raise (Bad "missing \"totals\"")
+    in
+    let rows =
+      match Json.list_member "rows" j with
+      | Some l -> List.map row_of_json l
+      | None -> raise (Bad "missing \"rows\"")
+    in
+    Ok
+      {
+        design = Option.value ~default:"" (Json.string_member "design" j);
+        bench = Option.value ~default:"" (Json.string_member "bench" j);
+        scale = Option.value ~default:1.0 (Json.float_member "scale" j);
+        key = Option.value ~default:"" (Json.string_member "key" j);
+        totals;
+        rows;
+      }
+  with Bad msg -> Error msg
+
+let load path = Json.load path of_json
 
 let write path data =
   let oc = open_out path in

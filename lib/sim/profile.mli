@@ -3,9 +3,9 @@
     Bridges a run's {!Sweep_obs.Attrib} counters and the program's
     label map ({!Sweep_isa.Decoded}) into two deterministic formats:
 
-    - a schema-versioned JSON table ([sweepsim --attrib out.json],
-      read back by [sweeptrace profile] via
-      {!Sweep_analyze.Profile_view});
+    - a schema-versioned JSON table ([sweepsim --attrib out.json]),
+      read back by {!of_json} and rendered by [sweeptrace profile]
+      ([Sweep_analyze.Profile_view]);
     - Brendan Gregg collapsed stacks ([func;label+off;op weight]) for
       flamegraph.pl / speedscope / inferno.
 
@@ -62,6 +62,14 @@ val of_result :
 (** [None] when the run was not started with [~attrib:true]. *)
 
 val to_json : t -> string
+
+val of_json : Sweep_util.Json.t -> (t, string) result
+(** Inverse of {!to_json}.  Strict: wrong [kind], unsupported
+    [schema_version], or any missing row/totals field is an [Error]. *)
+
+val load : string -> (t, string) result
+(** {!of_json} of a profile file; errors name the path. *)
+
 val to_folded : t -> string
 val write_json : t -> path:string -> unit
 val write_folded : t -> path:string -> unit

@@ -66,3 +66,41 @@ let write_jsonl path t =
           output_string oc (entry_line e);
           output_char oc '\n')
         (members t))
+
+let entry_of_json j =
+  let ( let* ) = Option.bind in
+  let* point = Space.of_json j in
+  let* benches =
+    Option.bind (Json.list_member "benches" j) (fun l ->
+        let names = List.filter_map Json.to_string l in
+        if List.length names = List.length l then Some names else None)
+  in
+  let* runtime_ns = Json.float_member "runtime_ns" j in
+  let* nvm_writes = Json.float_member "nvm_writes" j in
+  let* hw_bits = Json.int_member "hw_bits" j in
+  Some { point; benches; objs = { runtime_ns; nvm_writes; hw_bits } }
+
+let load path =
+  let step entries lineno raw =
+    let bad fmt =
+      Printf.ksprintf
+        (fun m -> Error (Printf.sprintf "frontier line %d: %s" lineno m))
+        fmt
+    in
+    if String.trim raw = "" then Ok entries
+    else
+      match Json.parse raw with
+      | Error e -> bad "%s" e
+      | Ok j -> (
+        match Json.int_member "schema_version" j with
+        | Some v when v <> schema_version ->
+          bad "schema version %d (expected %d)" v schema_version
+        | Some _ -> (
+          match entry_of_json j with
+          | Some e -> Ok (e :: entries)
+          | None -> bad "missing fields")
+        | None -> bad "missing schema_version")
+  in
+  match Json.fold_lines path ~init:[] step with
+  | Error e -> Error (path ^ ": " ^ e)
+  | Ok entries -> Ok (List.rev entries)

@@ -49,3 +49,8 @@ val entry_line : entry -> string
 
 val write_jsonl : string -> t -> unit
 (** {!members} one per line; byte-identical for equal frontiers. *)
+
+val load : string -> (entry list, string) result
+(** Read back what {!write_jsonl} wrote, in file order.  Strict: a line
+    that does not decode, or carries another [schema_version], is an
+    [Error] naming the path and line, as is an unreadable path. *)

@@ -30,6 +30,10 @@ let append oc c =
 
 let cell_of_json j =
   let ( let* ) = Option.bind in
+  let* () =
+    if Json.int_member "schema_version" j = Some schema_version then Some ()
+    else None
+  in
   let* point = Space.of_json j in
   let* key = Json.string_member "key" j in
   let* bench = Json.string_member "bench" j in
@@ -41,38 +45,27 @@ let cell_of_json j =
   let* error = Json.string_member "error" j in
   Some { point; bench; scale; key; runtime_ns; nvm_writes; completed; failed; error }
 
+(* A line that does not decode is tolerated only as the last line: the
+   crash interrupted its write.  [torn] holds such a line's number until
+   another line shows it was not the last. *)
 let load path =
   if not (Sys.file_exists path) then Ok ([], [])
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          while true do
-            lines := input_line ic :: !lines
-          done
-        with End_of_file -> ());
-    let lines = List.rev !lines in
-    let n = List.length lines in
-    let cells = ref [] and warnings = ref [] and error = ref None in
-    List.iteri
-      (fun idx raw ->
-        let lineno = idx + 1 in
-        if !error = None && String.trim raw <> "" then
-          match Option.bind (Result.to_option (Json.parse raw)) cell_of_json with
-          | Some cell -> cells := cell :: !cells
-          | None when lineno = n ->
-            (* Torn final line: the crash interrupted the write. *)
-            warnings :=
-              Printf.sprintf "journal: dropped torn final line %d" lineno
-              :: !warnings
-          | None ->
-            error :=
-              Some (Printf.sprintf "%s: malformed journal line %d" path lineno))
-      lines;
-    match !error with
-    | Some e -> Error e
-    | None -> Ok (List.rev !cells, List.rev !warnings)
-  end
+  else
+    let step (cells, torn) lineno raw =
+      match torn with
+      | Some k -> Error (Printf.sprintf "malformed journal line %d" k)
+      | None when String.trim raw = "" -> Ok (cells, None)
+      | None -> (
+        match Option.bind (Result.to_option (Json.parse raw)) cell_of_json with
+        | Some cell -> Ok (cell :: cells, None)
+        | None -> Ok (cells, Some lineno))
+    in
+    match Json.fold_lines path ~init:([], None) step with
+    | Error e -> Error (path ^ ": " ^ e)
+    | Ok (cells, torn) ->
+      Ok
+        ( List.rev cells,
+          match torn with
+          | None -> []
+          | Some k ->
+            [ Printf.sprintf "journal: dropped torn final line %d" k ] )

@@ -35,5 +35,6 @@ val append : out_channel -> cell -> unit
 val load : string -> (cell list * string list, string) result
 (** Cells in file order plus warnings.  A missing file is [Ok ([], [])].
     A torn final line (the crash wrote half a line) is dropped with a
-    warning; a malformed line elsewhere is an error — the journal is
-    corrupt, not merely truncated. *)
+    warning; a malformed line elsewhere — including one of another
+    [schema_version] — is an error: the journal is corrupt, not merely
+    truncated.  An unreadable path is an error too. *)

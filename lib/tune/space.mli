@@ -55,6 +55,10 @@ val id : point -> string
 (** Compact stable identity, e.g. ["c4096a2e64s64u4-470nF-RFOffice"].
     Injective over valid points. *)
 
+val farads_label : float -> string
+(** A capacitance with its unit, e.g. ["470nF"], ["1uF"] — the form
+    {!id} and the tune reports print. *)
+
 val label : point -> string
 (** The {!Sweep_exp.Exp_common.setting} label (the non-power knobs);
     together with the job's power id it makes point×bench job keys

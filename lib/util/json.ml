@@ -203,14 +203,45 @@ let parse s =
     if st.pos <> String.length s then Error "trailing garbage" else Ok v
   | exception Parse_error msg -> Error msg
 
+(* [open_in] names the file in its message and later reads do not;
+   strip the name so every caller can prefix it once. *)
+let io_error path e =
+  let p = path ^ ": " in
+  if String.starts_with ~prefix:p e then
+    String.sub e (String.length p) (String.length e - String.length p)
+  else e
+
 let parse_file path =
-  let ic = open_in_bin path in
-  let body =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  parse body
+  match open_in_bin path with
+  | exception Sys_error e -> Error (io_error path e)
+  | ic -> (
+    match
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> In_channel.input_all ic)
+    with
+    | body -> parse body
+    | exception Sys_error e -> Error (io_error path e))
+
+let load path of_json =
+  Result.map_error
+    (fun e -> path ^ ": " ^ e)
+    (Result.bind (parse_file path) of_json)
+
+let fold_lines path ~init f =
+  match open_in_bin path with
+  | exception Sys_error e -> Error (io_error path e)
+  | ic ->
+    let rec go acc lineno =
+      match input_line ic with
+      | exception End_of_file -> Ok acc
+      | exception Sys_error e -> Error (io_error path e)
+      | line -> (
+        match f acc lineno line with
+        | Ok acc -> go acc (lineno + 1)
+        | Error _ as e -> e)
+    in
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> go init 1)
 
 (* Rendering — compact, stable order (field order is whatever the
    value carries), numbers as %.17g so parse/render round-trips. *)

@@ -15,6 +15,22 @@ val parse : string -> (t, string) result
 (** Whole-string parse; [Error] carries a short message with offset. *)
 
 val parse_file : string -> (t, string) result
+(** Never raises: an unreadable path (missing, a directory, an I/O
+    failure) is an [Error] like a parse failure.  Messages do not
+    repeat the path. *)
+
+val load : string -> (t -> ('a, string) result) -> ('a, string) result
+(** [load path of_json] is {!parse_file} then [of_json], with either
+    error prefixed by [path]. *)
+
+val fold_lines :
+  string -> init:'a -> ('a -> int -> string -> ('a, string) result) ->
+  ('a, string) result
+(** [fold_lines path ~init f] folds [f acc lineno line] over the lines
+    of [path] (numbered from 1, newline stripped) in constant memory,
+    stopping at the first [Error] [f] returns.  Like {!parse_file} it
+    never raises: an unreadable path is an [Error] without the path in
+    its message.  The one line loop behind every JSONL reader. *)
 
 val render : t -> string
 (** Compact serialisation; integral numbers print without a fraction,

@@ -76,7 +76,7 @@ let test_jsonl_trace_roundtrip_real_run () =
   let r = run_intermittent (Obs.Jsonl_sink.create path) in
   check Alcotest.bool "run saw power failures" true
     (r.H.outcome.Driver.deaths > 0);
-  let entries, stats = A.Trace_reader.read_all path in
+  let entries, stats = Result.get_ok (A.Trace_reader.read_all path) in
   Sys.remove path;
   check Alcotest.int "no malformed lines" 0 stats.A.Trace_reader.malformed;
   check Alcotest.int "nothing dropped" 0 stats.A.Trace_reader.dropped;
@@ -405,6 +405,56 @@ let test_report_flags_truncation () =
   ;
   Sys.remove path
 
+(* ------------------------------------------------------------------ *)
+(* Every file reader returns Error on a directory, never raises        *)
+
+let test_readers_reject_directory () =
+  let dir = tmp_path "dir" in
+  let empty = tmp_path "empty.jsonl" in
+  Unix.mkdir dir 0o755;
+  Unix.mkdir (Filename.concat dir "fleet.journal") 0o755;
+  close_out (open_out empty);
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.rmdir (Filename.concat dir "fleet.journal");
+      Unix.rmdir dir;
+      Sys.remove empty)
+    (fun () ->
+      let rejects what r =
+        check Alcotest.bool (what ^ " returns Error") true (Result.is_error r)
+      in
+      rejects "Json.parse_file" (Json.parse_file dir);
+      rejects "Json.fold_lines"
+        (Json.fold_lines dir ~init:() (fun () _ _ -> Ok ()));
+      rejects "Journal.load" (Sweep_tune.Journal.load dir);
+      rejects "Frontier.load" (Sweep_tune.Frontier.load dir);
+      rejects "Trace_reader.fold"
+        (A.Trace_reader.fold dir ~init:() ~f:(fun () _ -> ()));
+      rejects "Flight_file.load" (A.Flight_file.load dir);
+      rejects "Results_file.load" (A.Results_file.load dir);
+      rejects "Metrics.load" (Obs.Metrics.load dir);
+      rejects "Profile.load" (Sweep_sim.Profile.load dir);
+      rejects "Spec.load" (Sweep_fleet.Spec.load dir);
+      rejects "Fleet_view.load" (A.Fleet_view.load dir);
+      rejects "Status_file.load" (A.Status_file.load dir);
+      rejects "Diff.load" (A.Diff.load dir);
+      rejects "Tune_file.load" (A.Tune_file.load dir);
+      rejects "Report.build" (A.Report.build ~trace_path:dir ());
+      (* The fleet runner's journal reader, behind Runner.run. *)
+      let spec =
+        {
+          Sweep_fleet.Spec.name = "d"; devices = 1; seed = 1; bench = "sha";
+          scale = 0.05; design = H.Sweep; trace = Trace.Rf_office;
+          v_max = 3.5; v_min = 2.8; jitter = Sweep_fleet.Spec.no_jitter;
+          arms = [ Sweep_fleet.Spec.default_arm ];
+        }
+      in
+      rejects "Runner.run (journal)" (Sweep_fleet.Runner.run ~dir spec);
+      (* A side-file that is a directory stays a warning. *)
+      match A.Tune_file.load ~journal:dir empty with
+      | Ok (_, [ _ ]) -> ()
+      | _ -> Alcotest.fail "Tune_file.load: a journal directory is one warning")
+
 let suite =
   [
     Alcotest.test_case "json parser" `Quick test_json_parser;
@@ -425,4 +475,6 @@ let suite =
     Alcotest.test_case "report on real trace" `Quick test_report_on_real_trace;
     Alcotest.test_case "report flags truncation" `Quick
       test_report_flags_truncation;
+    Alcotest.test_case "readers reject a directory" `Quick
+      test_readers_reject_directory;
   ]

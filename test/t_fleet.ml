@@ -377,9 +377,10 @@ let test_fleet_view_roundtrip () =
       match Sweep_analyze.Fleet_view.load r.Runner.report_path with
       | Error e -> Alcotest.fail e
       | Ok v ->
-        check Alcotest.string "fleet name" "t" v.Sweep_analyze.Fleet_view.name;
+        let v_spec = v.Sweep_analyze.Fleet_view.spec in
+        check Alcotest.string "fleet name" "t" v_spec.Spec.name;
         check Alcotest.int "declared devices" spec.Spec.devices
-          v.Sweep_analyze.Fleet_view.devices_declared;
+          v_spec.Spec.devices;
         check Alcotest.string "digest embedded" (Spec.digest spec)
           v.Sweep_analyze.Fleet_view.spec_digest;
         let report =
@@ -387,13 +388,13 @@ let test_fleet_view_roundtrip () =
         in
         check Alcotest.int "four sections" 4
           (List.length report.Sweep_analyze.Report.sections);
-        (* The view's bin read-back must agree with the sketch's. *)
-        let sg = r.Runner.state.Sketch.total in
-        let vg = v.Sweep_analyze.Fleet_view.total in
+        (* The state read back from fleet.json is the runner's state. *)
+        let st = v.Sweep_analyze.Fleet_view.state in
+        check Alcotest.string "state round-trips" (Sketch.render r.Runner.state)
+          (Sketch.render st);
         check (Alcotest.option (Alcotest.float 1e-9)) "p90 agrees"
-          (Sketch.quantile sg.Sketch.h_rate 0.9)
-          (Sweep_analyze.Fleet_view.quantile
-             vg.Sweep_analyze.Fleet_view.rate 0.9))
+          (Sketch.quantile r.Runner.state.Sketch.total.Sketch.h_rate 0.9)
+          (Sketch.quantile st.Sketch.total.Sketch.h_rate 0.9))
 
 let suite =
   [

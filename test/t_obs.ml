@@ -526,7 +526,7 @@ let test_event_of_parts_roundtrip () =
     (Ev.of_parts ~tag:"reboot" ~name:"reboot" ~cat:"power" ~args:[] = None);
   check Alcotest.bool "ill-typed field" true
     (Ev.of_parts ~tag:"reboot" ~name:"reboot" ~cat:"power"
-       ~args:[ ("outage", Ev.Str "seven") ]
+       ~args:[ ("outage", Sweep_util.Json.Str "seven") ]
     = None)
 
 (* Fault events must survive a capped ring: a --trace-cap window that
@@ -566,6 +566,25 @@ let test_sink_spy () =
   check Alcotest.bool "off after detach" false (Sink.on ());
   check Alcotest.int "observed while attached" 2 (List.length !seen)
 
+(* The --metrics-out reader inverts the writer, the histogram's +inf
+   overflow bucket included. *)
+let test_metrics_json_roundtrip () =
+  let snap =
+    [
+      ("a.count", Metrics.Count 42);
+      ("b.gauge{design=sweep}", Metrics.Value 0.1);
+      ( "c.hist",
+        Metrics.Histo
+          { count = 3; sum = 12.5;
+            buckets = [ (1.0, 1); (10.0, 1); (infinity, 1) ] } );
+    ]
+  in
+  let read s = Result.bind (Sweep_util.Json.parse s) Metrics.of_json in
+  Alcotest.(check bool) "of_json inverts render_json" true
+    (read (Metrics.render_json snap) = Ok snap);
+  Alcotest.(check bool) "another schema_version is an error" true
+    (Result.is_error (read {|{"schema_version":2,"metrics":{}}|}))
+
 let suite =
   [
     Alcotest.test_case "null sink off" `Quick test_null_sink_off;
@@ -596,4 +615,6 @@ let suite =
     Alcotest.test_case "ring pins fault events" `Quick
       test_ring_pins_fault_events;
     Alcotest.test_case "sink spy" `Quick test_sink_spy;
+    Alcotest.test_case "metrics json round-trip" `Quick
+      test_metrics_json_roundtrip;
   ]

@@ -13,7 +13,7 @@
      Σ reexec           = Attrib.total_reexec  ≤  Σ count
 
    plus serialisation properties: profiles are byte-deterministic,
-   round-trip through the Profile_view reader, and self-diff clean. *)
+   round-trip through Profile.of_json, and self-diff clean. *)
 
 module H = Sweep_sim.Harness
 module Driver = Sweep_sim.Driver
@@ -133,7 +133,7 @@ let test_profile_deterministic () =
   check Alcotest.string "folded byte-identical" f1 f2;
   Alcotest.(check bool) "folded non-empty" true (String.length f1 > 0)
 
-(* Writer -> Profile_view reader round-trip, report rendering, and a
+(* Writer -> Profile.of_json round-trip, report rendering, and a
    self-diff (which must be verdict-free at any threshold). *)
 let test_profile_view_roundtrip () =
   let job = List.hd (A.Bench.jobs ()) in
@@ -146,15 +146,15 @@ let test_profile_view_roundtrip () =
   match Sweep_util.Json.parse (Profile.to_json p) with
   | Error e -> Alcotest.fail ("profile JSON does not parse: " ^ e)
   | Ok j -> (
-    match A.Profile_view.of_json j with
-    | Error e -> Alcotest.fail ("Profile_view rejects own writer: " ^ e)
+    match Profile.of_json j with
+    | Error e -> Alcotest.fail ("Profile.of_json rejects own writer: " ^ e)
     | Ok v ->
       let tt = Attrib.totals at in
       check Alcotest.int "totals instructions survive"
-        tt.Attrib.t_instructions v.A.Profile_view.totals.A.Profile_view.instructions;
+        tt.Attrib.t_instructions v.Profile.totals.Attrib.t_instructions;
       check Alcotest.int "row count survives"
         (List.length p.Profile.rows)
-        (List.length v.A.Profile_view.rows);
+        (List.length v.Profile.rows);
       let report = A.Profile_view.render_report ~top:5 v in
       Alcotest.(check bool) "report renders" true (String.length report > 0);
       (match A.Profile_view.diff ~threshold_pct:0.0 v v with
@@ -229,6 +229,23 @@ let test_disabled_attrib_counts_reexec () =
   check Alcotest.int "nothing pending after the crash" 0
     (Attrib.note_crash at ~pc:106)
 
+(* Profile.of_json inverts Profile.to_json, on a run whose power
+   failures leave re-execution and checkpoint costs in the table. *)
+let test_profile_json_roundtrip () =
+  let r =
+    H.run ~attrib:true H.Sweep ~power:(Thelpers.harvested ~farads:100e-9 ())
+      (Sweep_workloads.Workload.program ~scale:0.05
+         (Sweep_workloads.Registry.find "sha"))
+  in
+  let p = Option.get (Profile.of_result ~bench:"sha" ~scale:0.05 ~key:"k" r) in
+  Alcotest.(check bool) "run crashed" true
+    (p.Profile.totals.Attrib.t_crashes > 0);
+  match
+    Result.bind (Sweep_util.Json.parse (Profile.to_json p)) Profile.of_json
+  with
+  | Error e -> Alcotest.fail e
+  | Ok p' -> Alcotest.(check bool) "of_json inverts to_json" true (p' = p)
+
 let suite =
   [
     Alcotest.test_case "bench matrix reconciles exactly" `Slow
@@ -240,4 +257,6 @@ let suite =
     Alcotest.test_case "decoded pc map" `Quick test_decoded_pc_map;
     Alcotest.test_case "disabled attrib still counts reexec" `Quick
       test_disabled_attrib_counts_reexec;
+    Alcotest.test_case "profile json round-trip" `Quick
+      test_profile_json_roundtrip;
   ]

@@ -127,10 +127,8 @@ let test_tune_report () =
              { Search.default_params with budget = 40; scale = 0.05 })
       in
       Frontier.write_jsonl frontier o.Search.frontier;
-      let entries, _ = ok (A.Tune_file.load_frontier frontier) in
-      let cells, _ = ok (A.Tune_file.load_journal journal) in
-      let bare = A.Tune_file.report ~source:frontier entries in
-      let full = A.Tune_file.report ~journal:cells ~source:frontier entries in
+      let bare, _ = ok (A.Tune_file.load frontier) in
+      let full, _ = ok (A.Tune_file.load ~journal frontier) in
       check_pins ~dir
         [
           ("tune.text", "ce2b1f5432e83a3545f19e567fba0b6e");
@@ -267,7 +265,7 @@ let test_profile_reports () =
         in
         let path = Filename.concat dir (H.design_name design ^ ".json") in
         Profile.write_json p ~path;
-        ok (A.Profile_view.load path)
+        ok (Profile.load path)
       in
       let sweep = profile H.Sweep and nvp = profile H.Nvp in
       let d = ok (A.Profile_view.diff nvp sweep) in

@@ -138,6 +138,77 @@ let test_journal_missing_file () =
   | Ok ([], []) -> ()
   | _ -> Alcotest.fail "missing journal should load as empty"
 
+(* A line of the next schema is not a torn line: with a valid line
+   after it, the journal is corrupt. *)
+let test_journal_rejects_other_schema () =
+  with_tmp (fun path ->
+      let line = Journal.line (sample_cell Space.paper_point "sha") in
+      let v1 =
+        Printf.sprintf "{\"schema_version\":%d," Journal.schema_version
+      in
+      let n = String.length v1 in
+      let rest = String.sub line n (String.length line - n) in
+      let oc = open_out path in
+      output_string oc ("{\"schema_version\":2," ^ rest ^ "\n");
+      Journal.append oc (sample_cell Space.paper_point "fft");
+      close_out oc;
+      Alcotest.(check bool) "schema_version 2 is a malformed line" true
+        (Result.is_error (Journal.load path)))
+
+let entry point benches runtime_ns nvm_writes =
+  {
+    Frontier.point;
+    benches;
+    objs = { Frontier.runtime_ns; nvm_writes; hw_bits = Space.hw_bits point };
+  }
+
+(* Three mutually non-dominated points with fractional objectives, so
+   every float goes through %.17g and back. *)
+let sample_frontier =
+  Frontier.of_entries
+    [
+      entry Space.paper_point [ "fft"; "sha" ] 1234567.891 300.5;
+      entry
+        { Space.paper_point with Space.buffer_entries = 32; store_cap = 24 }
+        [ "fft"; "sha" ] 2250000.125 120.25;
+      entry
+        { Space.paper_point with
+          Space.farads = 1e-6; trace = Sweep_energy.Power_trace.Rf_home }
+        [ "fft"; "sha" ] 1000000.5 500.75;
+    ]
+
+let test_frontier_load_roundtrip () =
+  check Alcotest.int "sample frontier keeps all three" 3
+    (Frontier.size sample_frontier);
+  with_tmp (fun path ->
+      Frontier.write_jsonl path sample_frontier;
+      match Frontier.load path with
+      | Error e -> Alcotest.fail e
+      | Ok entries ->
+          Alcotest.(check bool) "load inverts write_jsonl" true
+            (entries = Frontier.members sample_frontier))
+
+let test_frontier_load_strict () =
+  let good = Frontier.entry_line (List.hd (Frontier.members sample_frontier)) in
+  let v1 = Printf.sprintf "{\"schema_version\":%d," Frontier.schema_version in
+  let v2 =
+    "{\"schema_version\":2,"
+    ^ String.sub good (String.length v1) (String.length good - String.length v1)
+  in
+  List.iter
+    (fun (what, body) ->
+      with_tmp (fun path ->
+          let oc = open_out path in
+          output_string oc body;
+          close_out oc;
+          Alcotest.(check bool) what true
+            (Result.is_error (Frontier.load path))))
+    [
+      ("garbage line", good ^ "\nnot json\n");
+      ("missing field", "{\"schema_version\":1,\"id\":\"x\"}\n");
+      ("schema_version 2", v2 ^ "\n");
+    ]
+
 (* ---------------- search ---------------- *)
 
 let tiny_space =
@@ -398,28 +469,24 @@ let test_tune_file_roundtrip () =
       | Ok (o, []) ->
           with_tmp (fun fpath ->
               Frontier.write_jsonl fpath o.Search.frontier;
-              (match Sweep_analyze.Tune_file.load_frontier fpath with
+              (match Frontier.load fpath with
               | Error e -> Alcotest.fail e
-              | Ok (entries, warnings) ->
-                  Alcotest.(check (list string)) "no frontier warnings" []
-                    warnings;
+              | Ok entries ->
                   check Alcotest.int "every member parsed"
                     (Frontier.size o.Search.frontier)
                     (List.length entries));
-              match Sweep_analyze.Tune_file.load_journal journal with
+              (match Journal.load journal with
               | Error e -> Alcotest.fail e
               | Ok (cells, warnings) ->
                   Alcotest.(check (list string)) "no journal warnings" []
                     warnings;
                   check Alcotest.int "every cell parsed" o.Search.executed
-                    (List.length cells);
-                  let report =
-                    Sweep_analyze.Tune_file.report ~journal:cells
-                      ~source:fpath
-                      (match Sweep_analyze.Tune_file.load_frontier fpath with
-                      | Ok (es, _) -> es
-                      | Error _ -> [])
-                  in
+                    (List.length cells));
+              match Sweep_analyze.Tune_file.load ~journal fpath with
+              | Error e -> Alcotest.fail e
+              | Ok (report, warnings) ->
+                  Alcotest.(check (list string)) "no report warnings" []
+                    warnings;
                   Alcotest.(check bool) "frontier + sensitivity sections" true
                     (List.length report.Sweep_analyze.Report.sections >= 2);
                   Alcotest.(check bool) "text render non-empty" true
@@ -443,6 +510,12 @@ let suite =
     Alcotest.test_case "journal corrupt middle" `Quick
       test_journal_corrupt_middle;
     Alcotest.test_case "journal missing file" `Quick test_journal_missing_file;
+    Alcotest.test_case "journal rejects another schema" `Quick
+      test_journal_rejects_other_schema;
+    Alcotest.test_case "frontier load inverts write_jsonl" `Quick
+      test_frontier_load_roundtrip;
+    Alcotest.test_case "frontier load is strict" `Quick
+      test_frontier_load_strict;
     Alcotest.test_case "search grid deterministic" `Slow
       test_search_grid_deterministic;
     Alcotest.test_case "search budget truncates" `Slow
