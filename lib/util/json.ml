@@ -211,17 +211,16 @@ let io_error path e =
     String.sub e (String.length p) (String.length e - String.length p)
   else e
 
-let parse_file path =
+(* Run [f] on [path] opened for reading; a [Sys_error] from the open or
+   from [f]'s reads becomes an [Error]. *)
+let with_file path f =
   match open_in_bin path with
   | exception Sys_error e -> Error (io_error path e)
   | ic -> (
-    match
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> In_channel.input_all ic)
-    with
-    | body -> parse body
-    | exception Sys_error e -> Error (io_error path e))
+    try Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
+    with Sys_error e -> Error (io_error path e))
+
+let parse_file path = with_file path (fun ic -> parse (In_channel.input_all ic))
 
 let load path of_json =
   Result.map_error
@@ -229,19 +228,16 @@ let load path of_json =
     (Result.bind (parse_file path) of_json)
 
 let fold_lines path ~init f =
-  match open_in_bin path with
-  | exception Sys_error e -> Error (io_error path e)
-  | ic ->
-    let rec go acc lineno =
-      match input_line ic with
-      | exception End_of_file -> Ok acc
-      | exception Sys_error e -> Error (io_error path e)
-      | line -> (
-        match f acc lineno line with
-        | Ok acc -> go acc (lineno + 1)
-        | Error _ as e -> e)
-    in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> go init 1)
+  with_file path (fun ic ->
+      let rec go acc lineno =
+        match input_line ic with
+        | exception End_of_file -> Ok acc
+        | line -> (
+          match f acc lineno line with
+          | Ok acc -> go acc (lineno + 1)
+          | Error _ as e -> e)
+      in
+      go init 1)
 
 (* Rendering — compact, stable order (field order is whatever the
    value carries), numbers as %.17g so parse/render round-trips. *)
