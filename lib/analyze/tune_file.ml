@@ -123,13 +123,6 @@ let sensitivity_sections (cells : Journal.cell list) =
           })
     axes
 
-let report ?(journal = []) ~source entries =
-  {
-    Report.source;
-    warnings = [];
-    sections = frontier_section entries :: sensitivity_sections journal;
-  }
-
 let load ?journal frontier =
   match Frontier.load frontier with
   | Error e -> Error e
@@ -140,4 +133,5 @@ let load ?journal frontier =
       | Some (Ok loaded) -> loaded
       | Some (Error e) -> ([], [ e ])
     in
-    Ok (report ~journal:cells ~source:frontier entries, warnings)
+    let sections = frontier_section entries :: sensitivity_sections cells in
+    Ok ({ Report.source = frontier; warnings = []; sections }, warnings)

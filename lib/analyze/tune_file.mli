@@ -10,21 +10,14 @@
     Tab. 2/Fig. 9 capacitor, §6.7 Fig. 10 power trace, §6.4 store cap,
     §6.9 buffer capacity / hardware cost). *)
 
-val report :
-  ?journal:Sweep_tune.Journal.cell list ->
-  source:string ->
-  Sweep_tune.Frontier.entry list ->
-  Report.t
-(** The frontier table, then — when journal cells are supplied — one
-    sensitivity section per axis with at least two observed values:
-    cells grouped by axis value with geomean runtime and mean NVM
-    writes over completed cells. *)
-
 val load :
   ?journal:string -> string -> (Report.t * string list, string) result
 (** [load ?journal frontier] reads the frontier with
     {!Sweep_tune.Frontier.load} (any problem is the [Error]) and the
-    optional journal with {!Sweep_tune.Journal.load}, and renders
-    {!report} with the frontier path as source.  A journal that does not
-    load is a warning and the report has no sensitivity sections; the
-    journal's own warnings (a dropped torn final line) are passed on. *)
+    optional journal with {!Sweep_tune.Journal.load}, and renders the
+    frontier table, sourced as [frontier], then one sensitivity section
+    per axis with at least two observed values among the journal's
+    cells: cells grouped by axis value with geomean runtime and mean NVM
+    writes over completed cells.  A journal that does not load is a
+    warning and the report has no sensitivity sections; the journal's
+    own warnings (a dropped torn final line) are passed on. *)
