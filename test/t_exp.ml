@@ -171,6 +171,52 @@ let test_jsonl_sink () =
     (Array.to_list (Sys.readdir dir));
   Unix.rmdir dir
 
+(* A crash in the middle of an append leaves half a line; the next
+   append must start on a line of its own, not glue onto the half. *)
+let test_jsonl_torn_tail () =
+  let dir = Filename.temp_file "sweepexp" ".d" in
+  Sys.remove dir;
+  let file = Filename.concat dir "t.jsonl" in
+  let execute settings =
+    Results.clear ();
+    Executor.execute ~workers:1
+      (Jobs.matrix ~exp:"t" ~scale:0.05 settings [ "sha" ])
+  in
+  Results.set_dir (Some dir);
+  Fun.protect
+    ~finally:(fun () ->
+      Results.set_dir None;
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      execute [ C.setting H.Nvp; C.setting H.Wt ];
+      Thelpers.tear_last_line file;
+      execute [ C.sweep_empty_bit ];
+      let lines =
+        In_channel.with_open_bin file In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+      in
+      check Alcotest.int "0 malformed lines" 0
+        (List.length
+           (List.filter
+              (fun l -> Result.is_error (Sweep_util.Json.parse l))
+              lines));
+      let key =
+        Jobs.key (List.hd (Jobs.matrix ~exp:"t" ~scale:0.05
+                             [ C.sweep_empty_bit ] [ "sha" ]))
+      in
+      match Sweep_analyze.Results_file.load file with
+      | Error e -> Alcotest.fail e
+      | Ok records ->
+        Alcotest.(check bool) "the record appended after the tear loads"
+          true
+          (List.exists
+             (fun r -> r.Sweep_analyze.Results_file.key = key)
+             records))
+
 let suite =
   [
     Alcotest.test_case "experiment names unique" `Quick test_registry_unique_names;
@@ -191,4 +237,5 @@ let suite =
     Alcotest.test_case "executor skips cached" `Slow
       test_executor_skips_cached;
     Alcotest.test_case "jsonl sink" `Slow test_jsonl_sink;
+    Alcotest.test_case "jsonl torn tail" `Slow test_jsonl_torn_tail;
   ]

@@ -286,6 +286,36 @@ let test_runner_rejects_foreign_journal () =
            has "digest")
       | Ok _ -> Alcotest.fail "foreign journal accepted")
 
+(* Half a journal line from a crash is cut before the resume appends,
+   so every line stays whole and the run converges to the same bytes. *)
+let test_runner_torn_journal () =
+  let spec = { spec with Spec.devices = 24; scale = 0.05 } in
+  let run ?kill_after dir =
+    Runner.run ~workers:1 ?kill_after ~chunk:4 ~dir spec
+  in
+  let killed dir =
+    match run ~kill_after:8 dir with
+    | exception Runner.Interrupted _ -> ()
+    | _ -> Alcotest.fail "expected Interrupted"
+  in
+  with_tmp_dir (fun ref_dir ->
+      with_tmp_dir (fun dir ->
+          let reference = Result.get_ok (run ref_dir) in
+          killed dir;
+          Thelpers.tear_last_line (Runner.journal_path dir);
+          killed dir;
+          let resumed = Result.get_ok (run dir) in
+          String.split_on_char '\n' (read_file (Runner.journal_path dir))
+          |> List.filter (( <> ) "")
+          |> List.iteri (fun i line ->
+                 Alcotest.(check bool)
+                   (Printf.sprintf "journal line %d parses" (i + 1))
+                   true
+                   (Result.is_ok (Json.parse line)));
+          check Alcotest.string "torn, resumed twice = uninterrupted"
+            (read_file reference.Runner.report_path)
+            (read_file resumed.Runner.report_path)))
+
 (* ---------------- sharding balance ---------------- *)
 
 let test_route_hash_balance () =
@@ -411,6 +441,7 @@ let suite =
       test_runner_deterministic_across_parallelism;
     Alcotest.test_case "runner kill/resume" `Quick
       test_runner_kill_resume_identity;
+    Alcotest.test_case "runner torn journal" `Quick test_runner_torn_journal;
     Alcotest.test_case "runner foreign journal" `Quick
       test_runner_rejects_foreign_journal;
     Alcotest.test_case "route hash balance" `Quick test_route_hash_balance;

@@ -497,6 +497,37 @@ let test_tune_file_roundtrip () =
       | Ok (_, w) -> Alcotest.fail (String.concat "; " w)
       | Error e -> Alcotest.fail e)
 
+(* A crash in the middle of an append leaves half a journal line.  The
+   resume that drops it must cut it before appending, so the resume
+   after that still loads and the search ends where an uninterrupted
+   one does, byte for byte. *)
+let test_torn_journal_resume () =
+  let run journal budget =
+    Results.clear ();
+    match
+      Search.run ~workers:1 ~journal
+        { Search.default_params with Search.budget; scale = 0.05 }
+    with
+    | Ok (o, _) ->
+        with_tmp (fun fpath ->
+            Frontier.write_jsonl fpath o.Search.frontier;
+            (read_file journal, read_file fpath))
+    | Error e -> Alcotest.fail e
+  in
+  let fresh f = with_tmp (fun journal -> Sys.remove journal; f journal) in
+  let reference = fresh (fun journal -> run journal 24) in
+  let resumed =
+    fresh (fun journal ->
+        ignore (run journal 8);
+        Thelpers.tear_last_line journal;
+        ignore (run journal 16);
+        run journal 24)
+  in
+  check Alcotest.string "journal = uninterrupted" (fst reference)
+    (fst resumed);
+  check Alcotest.string "frontier = uninterrupted" (snd reference)
+    (snd resumed)
+
 let suite =
   [
     Alcotest.test_case "space default matrix" `Quick test_space_default;
@@ -531,4 +562,5 @@ let suite =
     Alcotest.test_case "early stop off is identity" `Slow
       test_early_stop_off_is_identity;
     Alcotest.test_case "tune file roundtrip" `Slow test_tune_file_roundtrip;
+    Alcotest.test_case "torn journal resume" `Slow test_torn_journal_resume;
   ]

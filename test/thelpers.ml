@@ -53,3 +53,15 @@ let office_trace = lazy (Sweep_energy.Power_trace.make Sweep_energy.Power_trace.
 
 let harvested ?(farads = 470e-9) () =
   Sweep_sim.Driver.harvested ~trace:(Lazy.force office_trace) ~farads ()
+
+(* Cut [path]'s last line in half, newline included: the bytes a crash
+   in the middle of an append leaves behind. *)
+let tear_last_line path =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  let body = String.length s - 1 in
+  let start =
+    match String.rindex_from_opt s (body - 1) '\n' with
+    | Some i -> i + 1
+    | None -> 0
+  in
+  Unix.truncate path (start + ((body - start) / 2))
