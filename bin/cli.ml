@@ -221,12 +221,13 @@ let output_arg =
 let write_output out body =
   match out with
   | None -> print_string body
-  | Some path ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc body);
-    Printf.eprintf "written to %s\n" path
+  | Some path -> (
+    match Sweep_util.Durable.write_atomic path (fun oc -> output_string oc body) with
+    | () -> Printf.eprintf "written to %s\n" path
+    | exception Sys_error msg ->
+      let prog = Filename.(remove_extension (basename Sys.executable_name)) in
+      Printf.eprintf "%s: %s\n" prog msg;
+      exit 1)
 
 let eval cmd =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = Sweep_exp.Worker.argv_flag

@@ -62,6 +62,7 @@ val output_arg : string option Term.t
 (** [-o/--output]: where {!write_output} puts the report. *)
 
 val write_output : string option -> string -> unit
+(** Print, or commit to the [-o] path; a path it cannot write exits 1. *)
 
 val eval : int Cmd.t -> 'a
 (** Exit with [cmd]'s result, or run the worker frame loop when the

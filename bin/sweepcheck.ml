@@ -198,7 +198,7 @@ let fuzz seed count max_points nested_every out =
     (match out with
     | None -> print_string doc
     | Some path ->
-      Out_channel.with_open_text path (fun oc -> output_string oc doc);
+      Sweep_util.Durable.write_atomic path (fun oc -> output_string oc doc);
       Printf.printf "shrunk failing case written to %s\n" path);
     1
 

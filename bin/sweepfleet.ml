@@ -89,14 +89,19 @@ let run spec_path out_dir kill_after chunk (opts : Cli.run) =
          none of it touches the journal or the fleet.json bytes.  The
          status file runs in cohort-rollup mode so its size is
          O(cohorts), not O(devices). *)
-      let exec_config =
-        Cli.exec_config ~rollup:Fleet.Device.cohort_of_key opts
-      in
       (try
+         let exec_config =
+           Cli.exec_config ~rollup:Fleet.Device.cohort_of_key opts
+         in
          match
            Fleet.Runner.run ~workers:opts.Cli.jobs ~exec_config ?kill_after
              ~chunk ~dir:out_dir spec
          with
+         | exception Fleet.Runner.Interrupted { folded } ->
+           err "interrupted after device %d; journal %s is resumable" folded
+             (Fleet.Runner.journal_path out_dir);
+           Cli.wind_down opts exec_config;
+           Exit_code.interrupted
          | Error e ->
            err "%s" e;
            1
@@ -112,16 +117,10 @@ let run spec_path out_dir kill_after chunk (opts : Cli.run) =
              spec.Fleet.Spec.name aggregated st.Fleet.Sketch.failed_total
              o.Fleet.Runner.report_path;
            Cli.finish ~prog opts exec_config
-       with
-      | Fleet.Runner.Interrupted { folded } ->
-        err "interrupted after device %d; journal %s is resumable" folded
-          (Fleet.Runner.journal_path out_dir);
-        Cli.wind_down opts exec_config;
-        Exit_code.interrupted
-      | Sys_error msg ->
-        err "%s" msg;
-        Sweep_exp.Supervisor.shutdown ();
-        1)
+       with Sys_error msg ->
+         err "%s" msg;
+         Sweep_exp.Supervisor.shutdown ();
+         1)
 
 (* ---------------- report ---------------- *)
 

@@ -414,14 +414,9 @@ let lint status_path openmetrics_path =
     (match openmetrics_path with
     | None -> ()
     | Some path -> (
-      match
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with
-      | exception Sys_error e -> problem "openmetrics: %s" e
-      | text -> (
+      match Sweep_util.Durable.read path (fun ic -> Ok (In_channel.input_all ic)) with
+      | Error e -> problem "openmetrics: %s: %s" path e
+      | Ok text -> (
         match Sweep_obs.Openmetrics.lint text with
         | Error e -> problem "openmetrics: %s: %s" path e
         | Ok families ->

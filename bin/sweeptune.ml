@@ -24,15 +24,6 @@ module Exit_code = Sweep_exp.Exit_code
 let prog = "sweeptune"
 let err fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s: %s\n" prog s) fmt
 
-let mkdir_p dir =
-  let rec go d =
-    if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-    end
-  in
-  go dir
-
 let strategy_conv =
   Arg.conv
     ( (fun s ->
@@ -109,13 +100,18 @@ let explore budget seed strategy scale out_dir kill_after format early_stop
     let frontier_path = Filename.concat out_dir "frontier.jsonl" in
     (* Live telemetry threaded into every chunk's Executor.execute; none
        of it touches the journal or the frontier bytes. *)
-    let exec_config = Cli.exec_config opts in
     try
-      mkdir_p out_dir;
+      let exec_config = Cli.exec_config opts in
+      Sweep_util.Durable.mkdir_p out_dir;
       match
         Tune.Search.run ~workers:opts.Cli.jobs ?kill_after ~exec_config
           ~journal params
       with
+      | exception Tune.Search.Interrupted { executed } ->
+          err "interrupted after %d simulated cell(s); journal %s is \
+               resumable" executed journal;
+          Cli.wind_down opts exec_config;
+          Exit_code.interrupted
       | Error e ->
           err "%s" e;
           1
@@ -146,16 +142,10 @@ let explore budget seed strategy scale out_dir kill_after format early_stop
                  jobs the supervisor quarantined after exhausting
                  worker-death retries count as job failures. *)
               Cli.finish ~prog opts exec_config)
-    with
-    | Tune.Search.Interrupted { executed } ->
-        err "interrupted after %d simulated cell(s); journal %s is \
-             resumable" executed journal;
-        Cli.wind_down opts exec_config;
-        Exit_code.interrupted
-    | Sys_error msg ->
-        err "%s" msg;
-        Sweep_exp.Supervisor.shutdown ();
-        1
+    with Sys_error msg ->
+      err "%s" msg;
+      Sweep_exp.Supervisor.shutdown ();
+      1
   end
 
 (* ---------------- plan ---------------- *)

@@ -213,14 +213,9 @@ let append ~path entry =
   | Error e -> Error e
   | Ok entries ->
     let body = Json.render (file_json (entries @ [ entry ])) in
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
+    Sweep_util.Durable.write_atomic path (fun oc ->
         output_string oc body;
         output_char oc '\n');
-    Sys.rename tmp path;
     Ok (List.length entries + 1)
 
 let latest path =

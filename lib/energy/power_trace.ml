@@ -198,10 +198,7 @@ let jitter t ~shift_s ~factor ~drop_seed ~drop_frac =
   { t with samples = Array.create_float n; gen = Some gen }
 
 let save_csv t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Sweep_util.Durable.write_atomic path (fun oc ->
       output_string oc "time_s,power_w\n";
       Array.iteri
         (fun idx p ->

@@ -15,10 +15,10 @@
    mismatch is a warned miss — the offending file is unlinked and the
    job re-simulated — never a trusted result.
 
-   Writes go through a pid-unique temp file and [Unix.rename], so a
+   Entries are committed by [Sweep_util.Durable.write_atomic], so a
    concurrent reader (another sweep process sharing the directory) sees
    either the old complete entry or the new complete entry, never a
-   torn one.
+   torn one, even after a host crash.
 
    Eviction is LRU by mtime: a hit bumps the entry's mtime to "now",
    and after every store the directory is trimmed oldest-first until it
@@ -52,14 +52,8 @@ let m_corrupt = Sweep_obs.Metrics.counter "exp.rcache_corrupt"
 
 let default_max_bytes = 256 * 1024 * 1024
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?(max_bytes = default_max_bytes) dir =
-  mkdir_p dir;
+  Sweep_util.Durable.mkdir_p dir;
   {
     dir;
     max_bytes = max max_bytes 0;
@@ -242,20 +236,10 @@ let store t ~key ~digest ~elapsed_s summary =
       schema_version (Bytes.length payload)
       (Digest.to_hex (Digest.bytes payload))
   in
-  let path = path_of t ~key ~digest in
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) (Hashtbl.hash key)
-  in
   (try
-     let oc = open_out_bin tmp in
-     Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+     Sweep_util.Durable.write_atomic (path_of t ~key ~digest) (fun oc ->
          output_string oc header;
          output_bytes oc payload;
-         output_char oc '\n';
-         flush oc;
-         try Unix.fsync (Unix.descr_of_out_channel oc)
-         with Unix.Unix_error _ -> ());
-     Unix.rename tmp path
-   with Sys_error _ | Unix.Unix_error _ ->
-     (try Sys.remove tmp with Sys_error _ -> ()));
+         output_char oc '\n')
+   with Sys_error _ -> ());
   evict_locked t

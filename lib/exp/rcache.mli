@@ -2,7 +2,7 @@
 
     Maps (canonical job key, config digest) to a {!Results.summary} on
     disk, so repeated sweeps hit instead of re-simulate.  Entries are
-    checksummed and written atomically (temp file + rename); a
+    checksummed and committed by {!Sweep_util.Durable.write_atomic}; a
     truncated, bit-flipped or otherwise undecodable entry is detected,
     warned about, unlinked and treated as a miss — never served.  The
     directory is bounded: stores trigger LRU eviction (by mtime, hits

@@ -112,5 +112,5 @@ val emit :
   elapsed_s:float ->
   summary ->
   unit
-(** Append one JSON line for an executed job (no-op when the sink is
-    disabled).  Lines are whole-line atomic across domains. *)
+(** Commit one JSON line for an executed job to a {!Sweep_util.Durable}
+    log (no-op when the sink is disabled); atomic across domains. *)

@@ -204,12 +204,9 @@ let render_locked t ~now =
 let write_locked t ~now =
   t.last_write_s <- now;
   let line = render_locked t ~now in
-  let tmp = t.path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc line;
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp t.path
+  Sweep_util.Durable.write_atomic t.path (fun oc ->
+      output_string oc line;
+      output_char oc '\n')
 
 let with_lock t f =
   Mutex.lock t.lock;

@@ -19,6 +19,7 @@ module Executor = Sweep_exp.Executor
 module Results = Sweep_exp.Results
 module Status = Sweep_exp.Status
 module Json = Sweep_util.Json
+module Durable = Sweep_util.Durable
 
 let journal_schema_version = 1
 let default_chunk = 256
@@ -30,12 +31,6 @@ type outcome = {
   resumed_from : int;
   report_path : string;
 }
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 let journal_path dir = Filename.concat dir "fleet.journal"
 let report_path dir = Filename.concat dir "fleet.json"
@@ -65,22 +60,23 @@ let census (spec : Spec.t) =
     !unique )
 
 (* One cumulative journal line: everything needed to resume is in the
-   last valid line, so replay never re-reads earlier ones. *)
-let append_journal oc ~digest ~done_ state =
-  Printf.fprintf oc
-    "{\"schema_version\":%d,\"spec_digest\":%S,\"done\":%d,\"state\":%s}\n"
-    journal_schema_version digest done_ (Sketch.render state);
-  flush oc
+   last committed line. *)
+let journal_line ~digest ~done_ state =
+  Printf.sprintf
+    "{\"schema_version\":%d,\"spec_digest\":%S,\"done\":%d,\"state\":%s}"
+    journal_schema_version digest done_ (Sketch.render state)
 
-(* Last valid journal line wins; a torn final line (the kill arrived
-   mid-write) is skipped.  A *valid* line whose digest disagrees is a
-   hard error — the spec file changed under an existing journal. *)
+(* The last committed line wins, and every committed line must decode;
+   a torn tail (the kill arrived mid-write) is skipped.  A line whose
+   digest disagrees is a hard error — the spec file changed under an
+   existing journal. *)
 let load_journal path ~digest ~devices =
   if not (Sys.file_exists path) then Ok None
   else
-    let step last _ line =
+    let step _ lineno line =
+      let malformed = Error (Printf.sprintf "malformed journal line %d" lineno) in
       match Json.parse line with
-      | Error _ -> Ok last (* torn or garbage line: ignore *)
+      | Error _ -> malformed
       | Ok j -> (
         match
           ( Json.int_member "schema_version" j,
@@ -100,11 +96,11 @@ let load_journal path ~digest ~devices =
           | Ok _ when done_ < 0 || done_ > devices ->
             Error (Printf.sprintf "journal cursor %d out of range" done_)
           | Ok st -> Ok (Some (st, done_)))
-        | _ -> Ok last (* structurally incomplete: treat as torn *))
+        | _ -> malformed)
     in
-    Result.map_error
-      (fun e -> path ^ ": " ^ e)
-      (Json.fold_lines path ~init:None step)
+    match Durable.fold_log path ~init:None step with
+    | Error e -> Error (path ^ ": " ^ e)
+    | Ok (last, _) -> Ok last
 
 let declare_status_cohorts (spec : Spec.t) exec_config =
   match exec_config with
@@ -120,14 +116,11 @@ let declare_status_cohorts (spec : Spec.t) exec_config =
 
 let write_report ~dir spec state =
   let path = report_path dir in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Printf.fprintf oc
-    "{\"schema_version\":%d,\"spec_digest\":%S,\"spec\":%s,\"state\":%s}\n"
-    journal_schema_version (Spec.digest spec) (Spec.render spec)
-    (Sketch.render state);
-  close_out oc;
-  Sys.rename tmp path;
+  Durable.write_atomic path (fun oc ->
+      Printf.fprintf oc
+        "{\"schema_version\":%d,\"spec_digest\":%S,\"spec\":%s,\"state\":%s}\n"
+        journal_schema_version (Spec.digest spec) (Spec.render spec)
+        (Sketch.render state));
   path
 
 let run ?workers ?exec_config ?kill_after ?(chunk = default_chunk) ~dir spec =
@@ -135,7 +128,7 @@ let run ?workers ?exec_config ?kill_after ?(chunk = default_chunk) ~dir spec =
   | [] -> ()
   | p :: _ -> invalid_arg ("Runner.run: " ^ p));
   let chunk = max 1 chunk in
-  mkdir_p dir;
+  Durable.mkdir_p dir;
   let digest = Spec.digest spec in
   let journal = journal_path dir in
   match load_journal journal ~digest ~devices:spec.Spec.devices with
@@ -145,53 +138,45 @@ let run ?workers ?exec_config ?kill_after ?(chunk = default_chunk) ~dir spec =
       match resume with None -> (Sketch.create (), 0) | Some (s, d) -> (s, d)
     in
     declare_status_cohorts spec exec_config;
-    let oc =
-      open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 journal
-    in
     let folded_this_run = ref 0 in
-    let result =
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          let rec loop d =
-            if d >= spec.Spec.devices then ()
-            else begin
-              let hi = min spec.Spec.devices (d + chunk) in
-              let devices =
-                List.init (hi - d) (fun i ->
-                    Device.instantiate spec ~id:(d + i))
-              in
-              Executor.execute ?workers ?config:exec_config
-                (List.map (Device.job spec) devices);
-              (* Sequential fold in device order — the byte-identity
-                 contract lives here, not in the executor. *)
-              List.iter
-                (fun dev ->
-                  let arm = dev.Device.arm.Spec.arm_name in
-                  match Results.find (Device.key spec dev) with
-                  | Some s ->
-                    Sketch.fold_device state ~id:dev.Device.id ~arm
-                      ~replay:(Device.replay_args spec dev)
-                      s.Results.outcome
-                  | None ->
-                    Sketch.fold_failure state ~id:dev.Device.id ~arm)
-                devices;
-              (* Bound memory: summaries of this chunk are folded, the
-                 store can go.  (The persistent rcache, if configured,
-                 still remembers them across runs.) *)
-              Results.clear ();
-              append_journal oc ~digest ~done_:hi state;
-              folded_this_run := !folded_this_run + (hi - d);
-              (match kill_after with
-              | Some n when n >= 0 && !folded_this_run >= n
-                            && hi < spec.Spec.devices ->
-                raise (Interrupted { folded = hi })
-              | _ -> ());
-              loop hi
-            end
-          in
-          loop start)
-    in
-    ignore result;
+    Durable.with_log journal (fun log ->
+        let rec loop d =
+          if d >= spec.Spec.devices then ()
+          else begin
+            let hi = min spec.Spec.devices (d + chunk) in
+            let devices =
+              List.init (hi - d) (fun i ->
+                  Device.instantiate spec ~id:(d + i))
+            in
+            Executor.execute ?workers ?config:exec_config
+              (List.map (Device.job spec) devices);
+            (* Sequential fold in device order — the byte-identity
+               contract lives here, not in the executor. *)
+            List.iter
+              (fun dev ->
+                let arm = dev.Device.arm.Spec.arm_name in
+                match Results.find (Device.key spec dev) with
+                | Some s ->
+                  Sketch.fold_device state ~id:dev.Device.id ~arm
+                    ~replay:(Device.replay_args spec dev)
+                    s.Results.outcome
+                | None ->
+                  Sketch.fold_failure state ~id:dev.Device.id ~arm)
+              devices;
+            (* Bound memory: summaries of this chunk are folded, the
+               store can go.  (The persistent rcache, if configured,
+               still remembers them across runs.) *)
+            Results.clear ();
+            Durable.append log (journal_line ~digest ~done_:hi state);
+            folded_this_run := !folded_this_run + (hi - d);
+            (match kill_after with
+            | Some n when n >= 0 && !folded_this_run >= n
+                          && hi < spec.Spec.devices ->
+              raise (Interrupted { folded = hi })
+            | _ -> ());
+            loop hi
+          end
+        in
+        loop start);
     let path = write_report ~dir spec state in
     Ok { state; resumed_from = start; report_path = path }

@@ -44,10 +44,10 @@ val run :
   Spec.t ->
   (outcome, string) result
 (** Execute (or resume) the fleet, writing [fleet.journal] and, on
-    completion, an atomically-renamed [fleet.json] under [dir].
-    Resumes automatically from a valid journal; a journal written by a
-    different spec (digest mismatch) is an [Error], a torn final line
-    is tolerated.  If the executor config carries a status aggregator,
+    completion, an atomically written [fleet.json] under [dir].  Resumes
+    from the journal's last committed line, cutting a torn tail; a line
+    that does not decode, or one from another spec (digest mismatch), is
+    an [Error].  If the executor config carries a status aggregator,
     per-cohort totals are declared up front ({!Sweep_exp.Status.declare_cohort}).
     Raises {!Interrupted} when [kill_after] fires; raises
     [Invalid_argument] on an invalid spec. *)

@@ -15,17 +15,8 @@ type t = {
 let schema_version = 1
 let default_capacity = 4096
 
-let mkdir_p dir =
-  let rec go d =
-    if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ -> ()
-    end
-  in
-  go dir
-
 let arm ?(capacity = default_capacity) ~dir () =
-  mkdir_p dir;
+  Sweep_util.Durable.mkdir_p dir;
   { ring = Ring.create ~capacity; dir; lock = Mutex.create () }
 
 let sink t = Ring.sink t.ring
@@ -56,22 +47,18 @@ let dump t ~key ~error ~backtrace =
     ~finally:(fun () -> Mutex.unlock t.lock)
     (fun () ->
       let path = path_for t ~key in
-      let tmp = path ^ ".tmp" in
-      let oc = open_out tmp in
-      (* header first, so even a truncated artifact names its job *)
-      Printf.fprintf oc
-        "{\"schema_version\":%d,\"kind\":\"postmortem\",\"job\":%s,\"error\":%s,\"backtrace\":%s,\"events\":%d,\"dropped\":%d}\n"
-        schema_version
-        (Json.escape_string key)
-        (Json.escape_string error)
-        (Json.escape_string backtrace)
-        (Ring.length t.ring) (Ring.dropped t.ring);
-      let write_line ~ns ev =
-        output_string oc (Jsonl_sink.render_line ~ns ev);
-        output_char oc '\n'
-      in
-      Ring.drain_to t.ring (Sink.make write_line);
-      Printf.fprintf oc "%s\n" (Metrics.render_json (Metrics.snapshot ()));
-      close_out oc;
-      Sys.rename tmp path;
+      Sweep_util.Durable.write_atomic path (fun oc ->
+          Printf.fprintf oc
+            "{\"schema_version\":%d,\"kind\":\"postmortem\",\"job\":%s,\"error\":%s,\"backtrace\":%s,\"events\":%d,\"dropped\":%d}\n"
+            schema_version
+            (Json.escape_string key)
+            (Json.escape_string error)
+            (Json.escape_string backtrace)
+            (Ring.length t.ring) (Ring.dropped t.ring);
+          let write_line ~ns ev =
+            output_string oc (Jsonl_sink.render_line ~ns ev);
+            output_char oc '\n'
+          in
+          Ring.drain_to t.ring (Sink.make write_line);
+          Printf.fprintf oc "%s\n" (Metrics.render_json (Metrics.snapshot ())));
       path)

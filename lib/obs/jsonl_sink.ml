@@ -39,11 +39,7 @@ let create path =
             | Event.Job_failed _ | Event.Job_done _ -> true
             | ev -> Event.category ev = Event.Fault
           in
-          if crash_critical then begin
-            flush oc;
-            try Unix.fsync (Unix.descr_of_out_channel oc)
-            with Unix.Unix_error _ -> ()
-          end
+          if crash_critical then Sweep_util.Durable.sync oc
         end)
   in
   Sink.make write

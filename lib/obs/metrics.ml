@@ -264,10 +264,7 @@ let of_json j =
 let load path = Json.load path of_json
 
 let write_json path snap =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Sweep_util.Durable.write_atomic path (fun oc ->
       output_string oc (render_json snap);
       output_char oc '\n')
 

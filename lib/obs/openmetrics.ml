@@ -161,11 +161,8 @@ let render (snap : Metrics.snapshot) =
   Buffer.contents b
 
 let write path (snap : Metrics.snapshot) =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (render snap);
-  close_out oc;
-  Sys.rename tmp path
+  Sweep_util.Durable.write_atomic path (fun oc ->
+      output_string oc (render snap))
 
 (* ------------------------------------------------------------------ *)
 (* Mini-parser + promtool-style lint, used by the round-trip tests and

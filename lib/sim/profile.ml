@@ -237,10 +237,7 @@ let of_json j =
 let load path = Json.load path of_json
 
 let write path data =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc data)
+  Sweep_util.Durable.write_atomic path (fun oc -> output_string oc data)
 
 let write_json t ~path = write path (to_json t)
 let write_folded t ~path = write path (to_folded t)

@@ -57,10 +57,7 @@ let entry_line e =
     e.objs.runtime_ns e.objs.nvm_writes e.objs.hw_bits
 
 let write_jsonl path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Sweep_util.Durable.write_atomic path (fun oc ->
       List.iter
         (fun e ->
           output_string oc (entry_line e);

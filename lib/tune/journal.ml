@@ -23,11 +23,6 @@ let line c =
     schema_version (js c.key) (Space.json_fields c.point) (js c.bench) c.scale
     c.runtime_ns c.nvm_writes c.completed c.failed (js c.error)
 
-let append oc c =
-  output_string oc (line c);
-  output_char oc '\n';
-  flush oc
-
 let cell_of_json j =
   let ( let* ) = Option.bind in
   let* () =
@@ -45,27 +40,19 @@ let cell_of_json j =
   let* error = Json.string_member "error" j in
   Some { point; bench; scale; key; runtime_ns; nvm_writes; completed; failed; error }
 
-(* A line that does not decode is tolerated only as the last line: the
-   crash interrupted its write.  [torn] holds such a line's number until
-   another line shows it was not the last. *)
+(* Every committed line must decode; a torn tail is the crash's
+   half-written line, dropped with a warning. *)
 let load path =
   if not (Sys.file_exists path) then Ok ([], [])
   else
-    let step (cells, torn) lineno raw =
-      match torn with
-      | Some k -> Error (Printf.sprintf "malformed journal line %d" k)
-      | None when String.trim raw = "" -> Ok (cells, None)
-      | None -> (
-        match Option.bind (Result.to_option (Json.parse raw)) cell_of_json with
-        | Some cell -> Ok (cell :: cells, None)
-        | None -> Ok (cells, Some lineno))
+    let step cells lineno raw =
+      match Option.bind (Result.to_option (Json.parse raw)) cell_of_json with
+      | Some cell -> Ok (cell :: cells)
+      | None -> Error (Printf.sprintf "malformed journal line %d" lineno)
     in
-    match Json.fold_lines path ~init:([], None) step with
+    match Sweep_util.Durable.fold_log path ~init:[] step with
     | Error e -> Error (path ^ ": " ^ e)
-    | Ok (cells, torn) ->
-      Ok
-        ( List.rev cells,
-          match torn with
-          | None -> []
-          | Some k ->
-            [ Printf.sprintf "journal: dropped torn final line %d" k ] )
+    | Ok (cells, None) -> Ok (List.rev cells, [])
+    | Ok (cells, Some (k, _)) ->
+      let warning = Printf.sprintf "journal: dropped torn final line %d" k in
+      Ok (List.rev cells, [ warning ])

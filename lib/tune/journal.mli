@@ -27,14 +27,11 @@ type cell = {
 val schema_version : int
 
 val line : cell -> string
-
-val append : out_channel -> cell -> unit
-(** One line, flushed — a kill after [append] returns leaves a loadable
-    journal. *)
+(** One journal line, without its newline. *)
 
 val load : string -> (cell list * string list, string) result
 (** Cells in file order plus warnings.  A missing file is [Ok ([], [])].
-    A torn final line (the crash wrote half a line) is dropped with a
-    warning; a malformed line elsewhere — including one of another
-    [schema_version] — is an error: the journal is corrupt, not merely
-    truncated.  An unreadable path is an error too. *)
+    A torn tail ({!Sweep_util.Durable.fold_log}) is dropped with a
+    warning; a committed line that does not decode — including one of
+    another [schema_version] — is an error: the journal is corrupt, not
+    merely truncated.  An unreadable path is an error too. *)

@@ -119,7 +119,7 @@ let plan params =
 type ctx = {
   params : params;
   cells : (string, Journal.cell) Hashtbl.t; (* job key -> result *)
-  oc : out_channel;
+  log : Sweep_util.Durable.log;
   workers : int option;
   kill_after : int option;
   exec_config : Executor.config option;
@@ -221,7 +221,7 @@ let evaluate ctx points benches =
             error;
           }
     in
-    Journal.append ctx.oc cell;
+    Sweep_util.Durable.append ctx.log (Journal.line cell);
     Hashtbl.replace ctx.cells key cell
   in
   (* Early-stop budgets are frozen per chunk from journalled state only
@@ -476,24 +476,20 @@ let run ?workers ?kill_after ?exec_config ~journal params =
           if not (Hashtbl.mem cells c.Journal.key) then
             Hashtbl.add cells c.Journal.key c)
         cells0;
-      let oc =
-        open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 journal
-      in
-      let ctx =
-        {
-          params;
-          cells;
-          oc;
-          workers;
-          kill_after;
-          exec_config;
-          scheduled = 0;
-          executed = 0;
-          cached = 0;
-          round = 0;
-          scheduled_keys = Hashtbl.create 256;
-        }
-      in
-      Fun.protect
-        ~finally:(fun () -> close_out ctx.oc)
-        (fun () -> Ok (search ctx, warnings))
+      Sweep_util.Durable.with_log journal (fun log ->
+          let ctx =
+            {
+              params;
+              cells;
+              log;
+              workers;
+              kill_after;
+              exec_config;
+              scheduled = 0;
+              executed = 0;
+              cached = 0;
+              round = 0;
+              scheduled_keys = Hashtbl.create 256;
+            }
+          in
+          Ok (search ctx, warnings))

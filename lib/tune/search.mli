@@ -89,5 +89,5 @@ val run :
     [n] cells have been simulated {e this run}.  [exec_config] is
     passed to every {!Sweep_exp.Executor.execute} chunk (live status,
     heartbeats, flight recorder, metrics export).  [Error] is a
-    corrupt journal or an unwritable path; warnings surface torn
-    journal lines. *)
+    corrupt journal; an unwritable one raises [Sys_error].  Warnings
+    surface a torn journal tail, which is cut before the first append. *)

@@ -203,24 +203,8 @@ let parse s =
     if st.pos <> String.length s then Error "trailing garbage" else Ok v
   | exception Parse_error msg -> Error msg
 
-(* [open_in] names the file in its message and later reads do not;
-   strip the name so every caller can prefix it once. *)
-let io_error path e =
-  let p = path ^ ": " in
-  if String.starts_with ~prefix:p e then
-    String.sub e (String.length p) (String.length e - String.length p)
-  else e
-
-(* Run [f] on [path] opened for reading; a [Sys_error] from the open or
-   from [f]'s reads becomes an [Error]. *)
-let with_file path f =
-  match open_in_bin path with
-  | exception Sys_error e -> Error (io_error path e)
-  | ic -> (
-    try Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
-    with Sys_error e -> Error (io_error path e))
-
-let parse_file path = with_file path (fun ic -> parse (In_channel.input_all ic))
+let parse_file path =
+  Durable.read path (fun ic -> parse (In_channel.input_all ic))
 
 let load path of_json =
   Result.map_error
@@ -228,16 +212,8 @@ let load path of_json =
     (Result.bind (parse_file path) of_json)
 
 let fold_lines path ~init f =
-  with_file path (fun ic ->
-      let rec go acc lineno =
-        match input_line ic with
-        | exception End_of_file -> Ok acc
-        | line -> (
-          match f acc lineno line with
-          | Ok acc -> go acc (lineno + 1)
-          | Error _ as e -> e)
-      in
-      go init 1)
+  Result.bind (Durable.fold_log path ~init f) (fun (acc, torn) ->
+      match torn with None -> Ok acc | Some (lineno, line) -> f acc lineno line)
 
 (* Rendering — compact, stable order (field order is whatever the
    value carries), numbers as %.17g so parse/render round-trips. *)

@@ -26,11 +26,8 @@ val load : string -> (t -> ('a, string) result) -> ('a, string) result
 val fold_lines :
   string -> init:'a -> ('a -> int -> string -> ('a, string) result) ->
   ('a, string) result
-(** [fold_lines path ~init f] folds [f acc lineno line] over the lines
-    of [path] (numbered from 1, newline stripped) in constant memory,
-    stopping at the first [Error] [f] returns.  Like {!parse_file} it
-    never raises: an unreadable path is an [Error] without the path in
-    its message.  The one line loop behind every JSONL reader. *)
+(** {!Durable.fold_log} for files that are not logs: a last line without
+    a newline is folded like the others. *)
 
 val render : t -> string
 (** Compact serialisation; integral numbers print without a fraction,

@@ -87,6 +87,9 @@ let sample_cell p bench =
     runtime_ns = 123.5; nvm_writes = 42; completed = true; failed = false;
     error = "" }
 
+(* One committed journal line, as the search appends it. *)
+let append oc c = output_string oc (Journal.line c ^ "\n")
+
 let with_tmp f =
   let path = Filename.temp_file "tune" ".jsonl" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -101,7 +104,7 @@ let test_journal_roundtrip () =
             error = "Driver.Stagnation(\"x\")" } ]
       in
       let oc = open_out path in
-      List.iter (Journal.append oc) cells;
+      List.iter (append oc) cells;
       close_out oc;
       match Journal.load path with
       | Error e -> Alcotest.fail e
@@ -114,7 +117,7 @@ let test_journal_roundtrip () =
 let test_journal_torn_line () =
   with_tmp (fun path ->
       let oc = open_out path in
-      Journal.append oc (sample_cell Space.paper_point "sha");
+      append oc (sample_cell Space.paper_point "sha");
       output_string oc "{\"schema_version\":1,\"key\":\"half";
       close_out oc;
       match Journal.load path with
@@ -126,9 +129,9 @@ let test_journal_torn_line () =
 let test_journal_corrupt_middle () =
   with_tmp (fun path ->
       let oc = open_out path in
-      Journal.append oc (sample_cell Space.paper_point "sha");
+      append oc (sample_cell Space.paper_point "sha");
       output_string oc "garbage\n";
-      Journal.append oc (sample_cell Space.paper_point "fft");
+      append oc (sample_cell Space.paper_point "fft");
       close_out oc;
       Alcotest.(check bool) "corrupt interior line is an error" true
         (match Journal.load path with Error _ -> true | Ok _ -> false))
@@ -150,7 +153,7 @@ let test_journal_rejects_other_schema () =
       let rest = String.sub line n (String.length line - n) in
       let oc = open_out path in
       output_string oc ("{\"schema_version\":2," ^ rest ^ "\n");
-      Journal.append oc (sample_cell Space.paper_point "fft");
+      append oc (sample_cell Space.paper_point "fft");
       close_out oc;
       Alcotest.(check bool) "schema_version 2 is a malformed line" true
         (Result.is_error (Journal.load path)))
@@ -344,7 +347,7 @@ let test_early_stop_prunes () =
         }
       in
       let oc = open_out journal in
-      Journal.append oc seed;
+      append oc seed;
       close_out oc;
       let pruned = Atomic.make 0 in
       let detach =
