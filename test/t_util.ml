@@ -2,6 +2,8 @@
 module Rng = Sweep_util.Rng
 module Stats = Sweep_util.Stats
 module Table = Sweep_util.Table
+module Durable = Sweep_util.Durable
+module Journal = Sweep_tune.Journal
 
 let check = Alcotest.check
 
@@ -153,8 +155,134 @@ let test_float_cell () =
   Alcotest.(check string) "nan spelled" "nan" (Table.float_cell Float.nan);
   Alcotest.(check string) "large integral" "12000" (Table.float_cell 12000.0)
 
+(* ---------------- Durable ---------------- *)
+
+let with_tmp_dir f =
+  let dir = Filename.temp_file "durable" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+
+let write_raw path s =
+  Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+let read_raw path = In_channel.with_open_bin path In_channel.input_all
+let unlines lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
+
+(* [p path committed torn] for the log [unlines lines] cut at every
+   offset: [committed] are the lines whose newline precedes the cut,
+   [torn] the bytes after the last one. *)
+let every_cut lines p =
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "log" in
+      let s = unlines lines in
+      List.for_all
+        (fun c ->
+          write_raw path (String.sub s 0 c);
+          match List.rev (String.split_on_char '\n' (String.sub s 0 c)) with
+          | torn :: rev -> p path (List.rev rev) torn
+          | [] -> assert false)
+        (List.init (String.length s + 1) Fun.id))
+
+let gen_lines =
+  QCheck2.Gen.(
+    list_size (int_range 0 5)
+      (string_size
+         ~gen:(map (fun i -> Char.chr (if i = 10 then 0 else i)) (int_range 0 255))
+         (int_range 0 8)))
+
+let fold_all path =
+  Durable.fold_log path ~init:[] (fun acc n l -> Ok ((n, l) :: acc))
+  |> Result.map (fun (acc, torn) -> (List.rev acc, torn))
+
+let numbered lines = List.mapi (fun i l -> (i + 1, l)) lines
+
+let prop_fold_log_cuts =
+  QCheck2.Test.make ~name:"Durable.fold_log folds exactly the committed lines"
+    ~count:200 gen_lines (fun lines ->
+      every_cut lines (fun path committed torn ->
+          fold_all path
+          = Ok
+              ( numbered committed,
+                if torn = "" then None
+                else Some (List.length committed + 1, torn) )))
+
+let prop_append_cuts_torn_tail =
+  QCheck2.Test.make ~name:"Durable.append after a cut commits a line of its own"
+    ~count:200 gen_lines (fun lines ->
+      every_cut lines (fun path committed _ ->
+          Durable.with_log path (fun log -> Durable.append log "new");
+          read_raw path = unlines (committed @ [ "new" ])
+          && fold_all path = Ok (numbered (committed @ [ "new" ]), None)))
+
+let prop_journal_load_cuts =
+  QCheck2.Test.make ~name:"Journal.load keeps the committed cells of a cut"
+    ~count:20
+    QCheck2.Gen.(list_size (int_range 0 3) (float_range 0. 1e9))
+    (fun runtimes ->
+      let cells =
+        List.mapi
+          (fun i runtime_ns ->
+            { Journal.point = Sweep_tune.Space.paper_point; bench = "sha";
+              scale = 0.05; key = Printf.sprintf "k%d" i; runtime_ns;
+              nvm_writes = i; completed = true; failed = false; error = "" })
+          runtimes
+      in
+      every_cut (List.map Journal.line cells) (fun path committed torn ->
+          match Journal.load path with
+          | Ok (cells', warnings) ->
+            List.map Journal.line cells' = committed
+            && List.length warnings = if torn = "" then 0 else 1
+          | Error _ -> false))
+
+let prop_write_atomic_raise =
+  QCheck2.Test.make
+    ~name:"Durable.write_atomic keeps the old bytes when its writer raises"
+    ~count:50 QCheck2.Gen.(pair string string) (fun (old_bytes, new_bytes) ->
+      with_tmp_dir (fun dir ->
+          let path = Filename.concat dir "f" in
+          Durable.write_atomic path (fun oc -> output_string oc old_bytes);
+          (match
+             Durable.write_atomic path (fun oc ->
+                 output_string oc new_bytes;
+                 raise Exit)
+           with
+          | () -> false
+          | exception Exit -> true)
+          && read_raw path = old_bytes
+          && Sys.readdir dir = [| "f" |]))
+
+let test_durable_errors_name_target () =
+  with_tmp_dir (fun dir ->
+      let names target f =
+        match f () with
+        | () -> Alcotest.failf "%s: no error" target
+        | exception Sys_error msg ->
+          Alcotest.(check bool) (msg ^ " names " ^ target) true
+            (String.starts_with ~prefix:(target ^ ": ") msg)
+      in
+      let missing = Filename.concat dir "missing/f" in
+      names missing (fun () -> Durable.write_atomic missing ignore);
+      names missing (fun () -> Durable.with_log missing ignore);
+      write_raw (Filename.concat dir "file") "";
+      let under_file = Filename.concat dir "file/sub" in
+      names under_file (fun () -> Durable.mkdir_p under_file);
+      let nested = Filename.concat dir "a/b/c" in
+      Durable.mkdir_p nested;
+      Alcotest.(check bool) "mkdir_p makes the parents" true
+        (Sys.is_directory nested))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
-    [ prop_int_bounds; prop_float_bounds; prop_cdf_monotone ]
+    [ prop_int_bounds; prop_float_bounds; prop_cdf_monotone;
+      prop_fold_log_cuts; prop_append_cuts_torn_tail; prop_journal_load_cuts;
+      prop_write_atomic_raise ]
 
 let suite =
   [
@@ -175,5 +303,7 @@ let suite =
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table pads" `Quick test_table_pads_short_rows;
     Alcotest.test_case "float cell" `Quick test_float_cell;
+    Alcotest.test_case "durable errors name the target" `Quick
+      test_durable_errors_name_target;
   ]
   @ qsuite
