@@ -177,10 +177,10 @@ let test_jsonl_torn_tail () =
   let dir = Filename.temp_file "sweepexp" ".d" in
   Sys.remove dir;
   let file = Filename.concat dir "t.jsonl" in
-  let execute settings =
+  let jobs settings = Jobs.matrix ~exp:"t" ~scale:0.05 settings [ "sha" ] in
+  let execute jobs =
     Results.clear ();
-    Executor.execute ~workers:1
-      (Jobs.matrix ~exp:"t" ~scale:0.05 settings [ "sha" ])
+    Executor.execute ~workers:1 jobs
   in
   Results.set_dir (Some dir);
   Fun.protect
@@ -191,9 +191,10 @@ let test_jsonl_torn_tail () =
         (Sys.readdir dir);
       Unix.rmdir dir)
     (fun () ->
-      execute [ C.setting H.Nvp; C.setting H.Wt ];
+      execute (jobs [ C.setting H.Nvp; C.setting H.Wt ]);
       Thelpers.tear_last_line file;
-      execute [ C.sweep_empty_bit ];
+      let last = jobs [ C.sweep_empty_bit ] in
+      execute last;
       let lines =
         In_channel.with_open_bin file In_channel.input_all
         |> String.split_on_char '\n'
@@ -204,10 +205,7 @@ let test_jsonl_torn_tail () =
            (List.filter
               (fun l -> Result.is_error (Sweep_util.Json.parse l))
               lines));
-      let key =
-        Jobs.key (List.hd (Jobs.matrix ~exp:"t" ~scale:0.05
-                             [ C.sweep_empty_bit ] [ "sha" ]))
-      in
+      let key = Jobs.key (List.hd last) in
       match Sweep_analyze.Results_file.load file with
       | Error e -> Alcotest.fail e
       | Ok records ->

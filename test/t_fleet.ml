@@ -12,24 +12,7 @@ module Json = Sweep_util.Json
 
 let check = Alcotest.check
 
-let with_tmp_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fleet-test-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      let rec rm p =
-        if Sys.is_directory p then begin
-          Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-          Unix.rmdir p
-        end
-        else Sys.remove p
-      in
-      rm dir)
-    (fun () -> f dir)
+let with_tmp_dir = Thelpers.with_tmp_dir
 
 let base_arm = Spec.default_arm
 

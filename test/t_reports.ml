@@ -24,21 +24,7 @@ module Frontier = Sweep_tune.Frontier
 let check = Alcotest.check
 let md5 s = Digest.to_hex (Digest.string s)
 
-let with_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sweep-reports-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Unix.mkdir dir 0o755;
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+let with_dir = Thelpers.with_tmp_dir
 
 let replace_all ~sub ~by s =
   let b = Buffer.create (String.length s) in

@@ -21,17 +21,7 @@ module A = Sweep_analyze
 
 let check = Alcotest.check
 
-let with_tmp_dir f =
-  let dir = Filename.temp_file "super" ".d" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun name -> Sys.remove (Filename.concat dir name))
-        (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
+let with_tmp_dir = Thelpers.with_tmp_dir
 
 (* One real summary, simulated once and shared by every cache test. *)
 let the_summary =

@@ -157,18 +157,7 @@ let test_float_cell () =
 
 (* ---------------- Durable ---------------- *)
 
-let with_tmp_dir f =
-  let dir = Filename.temp_file "durable" ".d" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+let with_tmp_dir = Thelpers.with_tmp_dir
 
 let write_raw path s =
   Out_channel.with_open_bin path (fun oc -> output_string oc s)

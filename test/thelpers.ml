@@ -54,6 +54,20 @@ let office_trace = lazy (Sweep_energy.Power_trace.make Sweep_energy.Power_trace.
 let harvested ?(farads = 470e-9) () =
   Sweep_sim.Driver.harvested ~trace:(Lazy.force office_trace) ~farads ()
 
+(* Run [f] on a fresh directory, removed with its contents afterwards. *)
+let with_tmp_dir f =
+  let dir = Filename.temp_file "sweep-test" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+      Unix.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+
 (* Cut [path]'s last line in half, newline included: the bytes a crash
    in the middle of an append leaves behind. *)
 let tear_last_line path =
