@@ -211,12 +211,11 @@ let load_entries path =
 let append ~path entry =
   match load_entries path with
   | Error e -> Error e
-  | Ok entries ->
-    let body = Json.render (file_json (entries @ [ entry ])) in
-    Sweep_util.Durable.write_atomic path (fun oc ->
-        output_string oc body;
-        output_char oc '\n');
-    Ok (List.length entries + 1)
+  | Ok entries -> (
+    let body = Json.render (file_json (entries @ [ entry ])) ^ "\n" in
+    match Sweep_util.Durable.write_atomic path (fun oc -> output_string oc body) with
+    | () -> Ok (List.length entries + 1)
+    | exception Sys_error e -> Error e)
 
 let latest path =
   match load_entries path with

@@ -45,7 +45,8 @@ val load_entries : string -> (entry list, string) result
     matrix mismatch. *)
 
 val append : path:string -> entry -> (int, string) result
-(** Append one entry, rewriting the file atomically (tmp + rename).
-    Returns the new entry count. *)
+(** Append one entry, recommitting the whole file
+    ({!Sweep_util.Durable.write_atomic}).  Returns the new entry count;
+    a file it cannot write is an [Error]. *)
 
 val latest : string -> (entry, string) result
