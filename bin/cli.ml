@@ -142,6 +142,7 @@ let exec_config ?rollup ?progress ?heartbeat_every r =
   let flight =
     Option.map (fun dir -> Sweep_obs.Flight.arm ~dir ()) r.flight_dir
   in
+  Option.iter Sweep_util.Durable.mkdir_p r.attrib_dir;
   let rcache =
     Option.map
       (fun dir -> Rcache.create ?max_bytes:r.cache_max_bytes dir)

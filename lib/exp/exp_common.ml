@@ -119,7 +119,6 @@ let compute ?(scale = 1.0) ?sim_budget_ns ?heartbeat ?attrib_dir s ~power
     (match Sweep_sim.Profile.of_result ~bench ~scale ~key r with
     | None -> ()
     | Some p ->
-      Sweep_util.Durable.mkdir_p dir;
       let base = Filename.concat dir (sanitize_key key) in
       Sweep_sim.Profile.write_json p ~path:(base ^ ".attrib.json");
       Sweep_sim.Profile.write_folded p ~path:(base ^ ".folded")));

@@ -85,8 +85,8 @@ val compute :
     the pure function the executor's worker domains evaluate.
     [?sim_budget_ns] (graceful partial stop with
     [outcome.completed = false]) and [?heartbeat] flow through to
-    {!Sweep_sim.Driver.run}.  [?attrib_dir] arms per-PC attribution
-    and writes [<dir>/<sanitised run_key>.attrib.json] plus a
+    {!Sweep_sim.Driver.run}.  [?attrib_dir], an existing directory, arms
+    attribution and writes [<dir>/<sanitised run_key>.attrib.json] and a
     [.folded] collapsed-stack file — byte-identical at any [-j]
     because the profile is a pure function of the job. *)
 
