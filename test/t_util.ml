@@ -174,8 +174,9 @@ let every_cut lines p =
       let s = unlines lines in
       List.for_all
         (fun c ->
-          write_raw path (String.sub s 0 c);
-          match List.rev (String.split_on_char '\n' (String.sub s 0 c)) with
+          let prefix = String.sub s 0 c in
+          write_raw path prefix;
+          match List.rev (String.split_on_char '\n' prefix) with
           | torn :: rev -> p path (List.rev rev) torn
           | [] -> assert false)
         (List.init (String.length s + 1) Fun.id))
